@@ -380,7 +380,6 @@ func BenchmarkAblationMatcher(b *testing.B) {
 	pts := eval.TestPoints(g, 3, 50)
 	matchers := map[string]loc.Localizer{
 		"omp":     loc.NewOMPPoint(rec.X, g, loc.OMPConfig{}),
-		"knn":     loc.NewKNN(rec.X, 3),
 		"nearest": loc.NewNearestColumn(rec.X),
 	}
 	results := map[string]float64{}
@@ -399,7 +398,6 @@ func BenchmarkAblationMatcher(b *testing.B) {
 		}
 	}
 	b.ReportMetric(results["omp"], "omp_median_m")
-	b.ReportMetric(results["knn"], "knn_median_m")
 	b.ReportMetric(results["nearest"], "nearest_median_m")
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync"
 	"testing"
 	"time"
 
@@ -52,7 +53,7 @@ func doJSON(t *testing.T, method, url, token string, body, out any) (int, http.H
 // back for bad names, duplicates and unknown sites.
 func TestServeSiteLifecycle(t *testing.T) {
 	s := newServer(0)
-	if err := s.addSite(newOfficeSite(t, "default", 1)); err != nil {
+	if err := s.addSite("default", newOfficeSite(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 	defer s.fleet.Close()
@@ -140,6 +141,99 @@ func TestServeSiteLifecycle(t *testing.T) {
 	}
 }
 
+// TestServeDefaultSiteRemovalRace: every alias-route request resolves
+// the default site's name (trace label, access log, routing) while
+// DELETE /sites/default may remove that site. The resolvers are called
+// from goroutines directly, not through an httptest server, whose
+// connection bookkeeping adds happens-before edges that would hide a
+// race from -race. Afterwards the aliases answer 404 until the same
+// name is registered again.
+func TestServeDefaultSiteRemovalRace(t *testing.T) {
+	s := newServer(0)
+	if err := s.addSite("default", newOfficeSite(t, 1)); err != nil {
+		t.Fatal(err)
+	}
+	defer s.fleet.Close()
+	alias := httptest.NewRequest(http.MethodGet, "/drift", nil)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if name := s.siteName(alias); name != "default" {
+					t.Errorf("alias site name %q, want default", name)
+					return
+				}
+				s.resolve(httptest.NewRecorder(), alias, read)
+			}
+		}()
+	}
+	del := httptest.NewRequest(http.MethodDelete, "/sites/default", nil)
+	del.SetPathValue("site", "default")
+	rec := httptest.NewRecorder()
+	s.handleSiteDelete(rec, del)
+	wg.Wait()
+	if rec.Code != http.StatusOK {
+		t.Fatalf("DELETE default: status %d", rec.Code)
+	}
+
+	rec = httptest.NewRecorder()
+	if _, ok := s.resolve(rec, alias, read); ok || rec.Code != http.StatusNotFound {
+		t.Fatalf("alias after default removal: resolved %v, status %d, want 404", ok, rec.Code)
+	}
+	// Another site does not take the alias over; the default's name
+	// coming back does.
+	if err := s.addSite("annex", newOfficeSite(t, 2)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := s.resolve(httptest.NewRecorder(), alias, read); ok {
+		t.Fatal("alias resolved to a site registered after the default")
+	}
+	if err := s.addSite("default", newOfficeSite(t, 3)); err != nil {
+		t.Fatal(err)
+	}
+	if tg, ok := s.resolve(httptest.NewRecorder(), alias, read); !ok || tg.name != "default" {
+		t.Fatalf("alias after re-registering default: resolved %v to %q", ok, tg.name)
+	}
+}
+
+// TestServeDefaultSiteClaimRace: the first registration claims the
+// default while requests already resolve it — the case of a server
+// whose first site arrives by PUT /sites/{name}. Readers see either no
+// default or the first site, never a later one.
+func TestServeDefaultSiteClaimRace(t *testing.T) {
+	s := newServer(0)
+	defer s.fleet.Close()
+	first, second := newOfficeSite(t, 1), newOfficeSite(t, 2)
+	alias := httptest.NewRequest(http.MethodGet, "/snapshot", nil)
+
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 200; i++ {
+				if name := s.siteName(alias); name != "" && name != "first" {
+					t.Errorf("alias site name %q, want \"\" or first", name)
+					return
+				}
+			}
+		}()
+	}
+	if err := s.addSite("first", first); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.addSite("second", second); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	if name := s.siteName(alias); name != "first" {
+		t.Fatalf("default site %q, want first", name)
+	}
+}
+
 // TestServeReplicaLifecycleConflict: lifecycle mutations on a replica
 // site answer 409 — a follower is torn down by stopping the follow, not
 // through the leader-facing API.
@@ -152,7 +246,7 @@ func TestServeReplicaLifecycleConflict(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := newServer(0)
-	if err := s.addSite(newReplicaSite("mirror", rep)); err != nil {
+	if _, err := s.fleet.AddReplica("mirror", rep); err != nil {
 		t.Fatal(err)
 	}
 	defer s.fleet.Close()
@@ -240,7 +334,7 @@ func TestServeManifestRestart(t *testing.T) {
 	}
 	defer s3.fleet.Close()
 	defer s3.manifest.Close()
-	if s3.site("branch") != nil {
+	if _, ok := s3.fleet.Site("branch"); ok {
 		t.Fatal("deleted site came back after restart")
 	}
 }

@@ -134,7 +134,7 @@ func runSurvey(args []string) error {
 		return err
 	}
 	tb := iupdater.NewTestbed(env, *seed)
-	_, labor := tb.Survey(0, 50)
+	_, labor := tb.SurveyMatrix(0, 50)
 	g := env.Geometry()
 	fmt.Printf("environment: %s (%.0f m x %.0f m, %d links, %d cells)\n",
 		env.Name(), g.WidthM, g.HeightM, g.Links, g.Links*g.PerStrip)

@@ -358,23 +358,21 @@ func findSample(samples []promSample, name string, labels map[string]string) (pr
 // exposition is well-formed and covers every catalog family, with the
 // expected per-site samples.
 func TestServeMetricsExposition(t *testing.T) {
-	def := newOfficeSite(t, "default", 1)
-	if err := def.enableMonitor(iupdater.WithSynchronousUpdates()); err != nil {
+	def := withMonitor(newOfficeSite(t, 1), iupdater.WithSynchronousUpdates())
+	annex := newOfficeSite(t, 2)
+	s := newServer(0)
+	if err := s.addSite("default", def); err != nil {
 		t.Fatal(err)
 	}
-	annex := newOfficeSite(t, "annex", 2)
-	s := newServer(0)
-	for _, st := range []*site{def, annex} {
-		if err := s.addSite(st); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.addSite("annex", annex); err != nil {
+		t.Fatal(err)
 	}
 	defer s.fleet.Close()
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	cx, cy := def.tb.CellCenter(13)
-	rss := def.tb.MeasureOnline(cx, cy, time.Hour)
+	cx, cy := testbedOf(def).CellCenter(13)
+	rss := testbedOf(def).MeasureOnline(cx, cy, time.Hour)
 	for i := 0; i < 5; i++ {
 		if code := postJSON(t, ts.URL+"/sites/default/locate", locateRequest{RSS: rss}, nil); code != http.StatusOK {
 			t.Fatalf("locate status %d", code)
@@ -443,20 +441,21 @@ func TestServeMetricsExposition(t *testing.T) {
 // -race this also proves the handler's metric reads do not race the
 // hot-path writers.
 func TestServeMetricsUnderHammer(t *testing.T) {
-	def := newOfficeSite(t, "default", 1)
-	annex := newOfficeSite(t, "annex", 2)
+	def := newOfficeSite(t, 1)
+	annex := newOfficeSite(t, 2)
 	s := newServer(0)
-	for _, st := range []*site{def, annex} {
-		if err := s.addSite(st); err != nil {
-			t.Fatal(err)
-		}
+	if err := s.addSite("default", def); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.addSite("annex", annex); err != nil {
+		t.Fatal(err)
 	}
 	defer s.fleet.Close()
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	cx, cy := def.tb.CellCenter(13)
-	rss := def.tb.MeasureOnline(cx, cy, time.Hour)
+	cx, cy := testbedOf(def).CellCenter(13)
+	rss := testbedOf(def).MeasureOnline(cx, cy, time.Hour)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	errc := make(chan error, 8)
@@ -489,7 +488,7 @@ func TestServeMetricsUnderHammer(t *testing.T) {
 
 	deadline := time.Now().Add(20 * time.Second)
 	var scrapes int
-	for def.deployment().Version() != 4 && time.Now().Before(deadline) {
+	for def.Deployment.Version() != 4 && time.Now().Before(deadline) {
 		lintExposition(t, scrapeMetrics(t, ts.URL))
 		scrapes++
 	}
@@ -499,7 +498,7 @@ func TestServeMetricsUnderHammer(t *testing.T) {
 	for err := range errc {
 		t.Error(err)
 	}
-	if v := def.deployment().Version(); v != 4 {
+	if v := def.Deployment.Version(); v != 4 {
 		t.Fatalf("default version %d after hammer, want 4", v)
 	}
 	if scrapes == 0 {

@@ -18,14 +18,14 @@ import (
 
 // newDurableServer builds one durable office site under a fresh data
 // directory and serves it, returning the test server and the site.
-func newDurableServer(t *testing.T, retain int) (*httptest.Server, *site) {
+func newDurableServer(t *testing.T, retain int) (*httptest.Server, iupdater.SiteConfig) {
 	t.Helper()
 	s := newServer(0)
 	st, _, err := buildSite(siteSpec{name: "hq", env: "office"}, 7, t.TempDir(), retain, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.addSite(st); err != nil {
+	if err := s.addSite("hq", st); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.fleet.Close() })
@@ -85,7 +85,7 @@ func TestServeRecordsStream(t *testing.T) {
 	if v, _, err := replay.Apply(frames[0]); err != nil || v != 2 {
 		t.Fatalf("applying resumed frame: v%d %v", v, err)
 	}
-	snap := st.deployment().Snapshot()
+	snap := st.Deployment.Snapshot()
 	if want := snap.Fingerprints(); !bytes.Equal(replay.Payload()[33:], encodeTail(want)) {
 		t.Fatal("replayed payload does not match the leader's snapshot")
 	}
@@ -101,7 +101,7 @@ func TestServeRecordsStream(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/update", updateRequest{Days: 31}, &up); code != http.StatusOK {
 		t.Fatalf("update: status %d", code)
 	}
-	if err := st.deployment().Store().Compact(); err != nil {
+	if err := st.Deployment.Store().Compact(); err != nil {
 		t.Fatal(err)
 	}
 	_, oldest, status := readFrames(t, ts.URL+"/records?from=1")
@@ -150,7 +150,7 @@ func TestServeGracefulShutdownWithParkedRecordsPoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.addSite(st); err != nil {
+	if err := s.addSite("hq", st); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { s.fleet.Close() })
@@ -208,9 +208,10 @@ func TestServeFollowerSite(t *testing.T) {
 		t.Fatal(err)
 	}
 	follower := newServer(0)
-	if err := follower.addSite(newReplicaSite("branch", rep)); err != nil {
+	if _, err := follower.fleet.AddReplica("branch", rep); err != nil {
 		t.Fatal(err)
 	}
+	follower.claimDefault("branch")
 	t.Cleanup(func() { follower.fleet.Close() })
 	fts := httptest.NewServer(follower.handler())
 	t.Cleanup(fts.Close)
@@ -223,7 +224,7 @@ func TestServeFollowerSite(t *testing.T) {
 
 	// Bit-identical serving: the same measurement localizes to the
 	// same position at the same version on both sides.
-	tb := leaderSite.tb
+	tb := testbedOf(leaderSite)
 	cx, cy := tb.CellCenter(17)
 	rss := tb.MeasureOnline(cx, cy, time.Hour)
 	var lResp, fResp locateResponse

@@ -45,10 +45,11 @@ func runReplicate(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := s.addSite(newReplicaSite(*name, rep)); err != nil {
+	if _, err := s.fleet.AddReplica(*name, rep); err != nil {
 		rep.Close()
 		return err
 	}
+	s.claimDefault(*name)
 
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {

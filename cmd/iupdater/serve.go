@@ -21,6 +21,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -29,28 +30,16 @@ import (
 	"iupdater/internal/trace"
 )
 
-// site is one served deployment: the testbed standing in for that
-// site's radio hardware, the simulated clock its measurements are taken
-// at, and the fleet Site handle the deployment and monitor live behind
-// (so the fleet's snapshot LRU can park and rehydrate them without the
-// serve layer holding stale pointers). A replica site (rep != nil) has
-// neither a deployment nor a testbed: it serves read-only localization
-// from the snapshots its follower tails off a leader.
+// site is serve's per-site state that the fleet does not own: the
+// testbed standing in for the site's radio hardware, the simulated clock
+// its measurements are taken at, and the bearer token. It rides on the
+// fleet Site as its opaque payload (SiteConfig.Payload); replica sites,
+// which have neither a testbed nor a token, carry none.
 type site struct {
-	name string
-	tb   *iupdater.Testbed
-	rep  *iupdater.Replica
+	tb *iupdater.Testbed
 	// token, when non-empty, must be presented as a bearer token on the
 	// site's mutating routes (update, rollback, delete).
 	token string
-
-	// d and mon hold the deployment and monitor only between newSite and
-	// addSite; registration hands them to the fleet and nils them. fs is
-	// the fleet handle handlers resolve them through afterwards.
-	d          *iupdater.Deployment
-	mon        *iupdater.Monitor
-	monFactory func(*iupdater.Deployment) (*iupdater.Monitor, error)
-	fs         *iupdater.Site
 
 	// mu guards clock — the simulated elapsed deployment time advanced
 	// by testbed-driven updates — and serializes all testbed
@@ -61,108 +50,36 @@ type site struct {
 	clock time.Duration
 }
 
-func newSite(name string, d *iupdater.Deployment, tb *iupdater.Testbed) *site {
-	return &site{name: name, d: d, tb: tb}
-}
-
-func newReplicaSite(name string, rep *iupdater.Replica) *site {
-	return &site{name: name, rep: rep}
-}
-
-// deployment peeks at the site's deployment without rehydrating a
-// parked site: nil for replicas, parked sites, and anything in
-// between. Handlers that must serve use writer instead.
-func (st *site) deployment() *iupdater.Deployment {
-	if st.fs != nil {
-		return st.fs.Deployment()
-	}
-	return st.d
-}
-
-// monitor peeks at the site's monitor without rehydrating.
-func (st *site) monitor() *iupdater.Monitor {
-	if st.fs != nil {
-		return st.fs.Monitor()
-	}
-	return st.mon
-}
-
-// writer resolves the site's deployment and monitor through the fleet,
-// re-materializing a parked site from its store — a cold site's first
-// request pays the rehydration here. On failure (the site was removed
-// mid-request) it writes the 404 and reports false.
-func (st *site) writer(w http.ResponseWriter) (*iupdater.Deployment, *iupdater.Monitor, bool) {
-	d, mon, err := st.fs.Hydrate()
-	if err != nil {
-		writeError(w, http.StatusNotFound, err)
-		return nil, nil, false
-	}
-	return d, mon, true
-}
-
-// snap returns the site's serving snapshot without rehydrating: the
-// deployment's latest for a hydrated writer, the last applied one for
-// a replica — nil for an unsynced replica or a parked site.
-func (st *site) snap() *iupdater.Snapshot {
-	if st.rep != nil {
-		return st.rep.Snapshot()
-	}
-	if d := st.deployment(); d != nil {
-		return d.Snapshot()
-	}
-	return nil
-}
-
-// latency returns the site's locate-latency histogram — the
-// deployment's for a writer, the replica's for a follower. The serve
-// handlers observe into it directly because they localize against a
-// pinned snapshot (for version consistency), bypassing the instrumented
-// Deployment.Locate wrappers. Nil while a writer site is parked (its
-// histogram is released with the deployment).
-func (st *site) latency() *obs.Histogram {
-	if st.rep != nil {
-		return st.rep.LocateLatency()
-	}
-	if d := st.deployment(); d != nil {
-		return d.LocateLatency()
-	}
-	return nil
-}
-
-// readOnly writes the 409 telling callers of mutating routes that this
-// site is a follower, reporting whether it did so.
-func (st *site) readOnly(w http.ResponseWriter) bool {
-	if st.rep == nil {
-		return false
-	}
-	writeError(w, http.StatusConflict,
-		fmt.Errorf("site %s is a read-only replica (following %s)", st.name, st.rep.Source()))
-	return true
+// payload returns serve's per-site state from a SiteConfig.Payload or
+// Site.Payload value, nil for a replica site.
+func payload(p any) *site {
+	st, _ := p.(*site)
+	return st
 }
 
 // authorize enforces the site's bearer token on mutating routes,
 // reporting whether the request may proceed. Sites created without a
 // token (the -sites flag path) stay open, preserving the demo surface.
-func (st *site) authorize(w http.ResponseWriter, r *http.Request) bool {
-	if st.token == "" {
+func (st *site) authorize(w http.ResponseWriter, r *http.Request, name string) bool {
+	if st == nil || st.token == "" {
 		return true
 	}
 	tok, ok := strings.CutPrefix(r.Header.Get("Authorization"), "Bearer ")
 	if !ok || subtle.ConstantTimeCompare([]byte(tok), []byte(st.token)) != 1 {
 		w.Header().Set("WWW-Authenticate", "Bearer")
 		writeError(w, http.StatusUnauthorized,
-			fmt.Errorf("site %s requires its bearer token on mutating routes", st.name))
+			fmt.Errorf("site %s requires its bearer token on mutating routes", name))
 		return false
 	}
 	return true
 }
 
-// enableMonitor attaches a drift monitor whose reference surveys are
-// taken from the site's testbed at the site's simulated clock, and
-// records the factory the fleet uses to rebuild the monitor when a
-// parked site rehydrates. Call before registering the site with a
-// server.
-func (st *site) enableMonitor(opts ...iupdater.MonitorOption) error {
+// withMonitor has the fleet run a drift monitor on the site: its
+// factory builds one whose reference surveys are taken from the site's
+// testbed at the site's simulated clock, at registration and again
+// whenever the fleet rehydrates the parked site.
+func withMonitor(cfg iupdater.SiteConfig, opts ...iupdater.MonitorOption) iupdater.SiteConfig {
+	st := payload(cfg.Payload)
 	sampler := iupdater.SamplerFunc(func(refs []int) (iupdater.UpdateInputs, error) {
 		st.mu.Lock()
 		defer st.mu.Unlock()
@@ -173,34 +90,29 @@ func (st *site) enableMonitor(opts ...iupdater.MonitorOption) error {
 			References: xr,
 		}, nil
 	})
-	st.monFactory = func(d *iupdater.Deployment) (*iupdater.Monitor, error) {
+	cfg.MonitorFactory = func(d *iupdater.Deployment) (*iupdater.Monitor, error) {
 		return iupdater.NewMonitor(d, sampler, opts...)
 	}
-	mon, err := st.monFactory(st.d)
-	if err != nil {
-		st.monFactory = nil
-		return err
-	}
-	st.mon = mon
-	return nil
+	return cfg
 }
 
-// server exposes a Fleet of site deployments over HTTP/JSON.
+// server exposes a Fleet of site deployments over HTTP/JSON. The fleet
+// is the only site registry: handlers look sites up in it per request.
 // Localization queries hit each site's lock-free snapshot path; updates
 // are serialized by the owning Deployment's write path. Every site is
 // addressable under /sites/{site}/...; the original single-site routes
 // (/locate, /update, /snapshot, /drift, /rollback) remain as aliases
-// for the default site (the first one registered).
+// for the default site.
 type server struct {
 	fleet   *iupdater.Fleet
 	workers int
 	pprof   bool
 
-	// mu guards sites and def: the site table is mutated at runtime by
-	// PUT/DELETE /sites/{site} while every other route reads it.
-	mu    sync.RWMutex
-	sites map[string]*site
-	def   *site
+	// def names the alias routes' default site: the first site
+	// registered, fixed from then on. Removing that site leaves the
+	// aliases answering 404 until a site of the same name is registered
+	// again.
+	def atomic.Pointer[string]
 
 	// Defaults applied to sites created over the API (PUT /sites/{site}),
 	// mirroring the serve flags the boot-time sites were built with.
@@ -236,7 +148,6 @@ func newServer(workers int) *server {
 	drain, cancelDrain := context.WithCancel(context.Background())
 	return &server{
 		fleet:       iupdater.NewFleet(),
-		sites:       make(map[string]*site),
 		workers:     workers,
 		tracer:      newServeTracer(0),
 		drain:       drain,
@@ -244,81 +155,135 @@ func newServer(workers int) *server {
 	}
 }
 
-// addSite registers a fully wired site (monitor already attached if
-// wanted), handing its deployment and monitor to the fleet — which owns
-// their lifecycle from here on, including LRU parking. The first site
-// added becomes the default for the alias routes. Safe to call while
-// the handler is serving.
-func (s *server) addSite(st *site) error {
-	var fs *iupdater.Site
-	var err error
-	if st.rep != nil {
-		fs, err = s.fleet.AddReplica(st.name, st.rep)
-	} else {
-		fs, err = s.fleet.AddSite(st.name, iupdater.SiteConfig{
-			Deployment:     st.d,
-			Monitor:        st.mon,
-			MonitorFactory: st.monFactory,
-		})
-	}
-	if err != nil {
+// addSite registers a writer site with the fleet, which owns its
+// deployment and monitor from here on, including LRU parking. Safe to
+// call while the handler is serving.
+func (s *server) addSite(name string, cfg iupdater.SiteConfig) error {
+	if _, err := s.fleet.AddSite(name, cfg); err != nil {
 		return err
 	}
-	st.fs = fs
-	st.d, st.mon = nil, nil
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.sites[st.name]; dup {
-		// The fleet would have rejected the duplicate first; belt and
-		// braces for a racing registration.
-		return fmt.Errorf("site %q already registered", st.name)
-	}
-	s.sites[st.name] = st
-	if s.def == nil {
-		s.def = st
-	}
+	s.claimDefault(name)
 	return nil
 }
 
-// removeSite drops the site from the routing table (the fleet-side
-// teardown is the caller's job). The default-site alias dies with the
-// default site.
-func (s *server) removeSite(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.sites, name)
-	if s.def != nil && s.def.name == name {
-		s.def = nil
+// claimDefault makes name the alias routes' default site unless an
+// earlier registration already claimed it.
+func (s *server) claimDefault(name string) { s.def.CompareAndSwap(nil, &name) }
+
+// defaultSite returns the alias routes' site name, "" before the first
+// registration.
+func (s *server) defaultSite() string {
+	if name := s.def.Load(); name != nil {
+		return *name
 	}
+	return ""
 }
 
-// site looks up a site by name under the read lock.
-func (s *server) site(name string) *site {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sites[name]
+// reader is the read path a Deployment and a Replica share.
+type reader interface {
+	Snapshot() *iupdater.Snapshot
+	LocateLatency() *obs.Histogram
 }
 
-// siteFor resolves the request's site: the {site} path value when
-// present, the default site on the alias routes. On an unknown name it
-// writes the 404 and returns nil.
-func (s *server) siteFor(w http.ResponseWriter, r *http.Request) *site {
-	name := r.PathValue("site")
-	if name == "" {
-		s.mu.RLock()
-		def := s.def
-		s.mu.RUnlock()
-		if def == nil {
-			writeError(w, http.StatusNotFound, fmt.Errorf("no default site (it was removed; address sites by name)"))
+// target is one site as a handler serves it, split into writer and
+// replica by view.
+type target struct {
+	name string
+	// rd is the serving read path: the deployment or the replica. It is
+	// nil for a writer that view found parked without hydrating.
+	rd reader
+	// d, mon, store and st are the writer's deployment, monitor (nil if
+	// unmonitored), durable store (nil in memory) and serve state; all
+	// nil on a replica.
+	d     *iupdater.Deployment
+	mon   *iupdater.Monitor
+	store *iupdater.Store
+	st    *site
+}
+
+// view is the one place a site is split into writer and replica. With
+// hydrate, a parked writer is re-materialized from its store (a cold
+// site's first request pays the rehydration here); without it, a parked
+// writer comes back with no read path, which is how /metrics and
+// /healthz look at sites without defeating the LRU.
+func view(fs *iupdater.Site, hydrate bool) (target, error) {
+	t := target{name: fs.Name()}
+	if rep := fs.Replica(); rep != nil {
+		t.rd = rep
+		return t, nil
+	}
+	t.st = payload(fs.Payload())
+	d, mon := fs.Deployment(), fs.Monitor()
+	if hydrate {
+		var err error
+		if d, mon, err = fs.Hydrate(); err != nil {
+			return t, err
 		}
-		return def
 	}
-	st := s.site(name)
-	if st == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown site %q (GET /sites lists them)", name))
-		return nil
+	if d != nil {
+		t.rd, t.d, t.mon, t.store = d, d, mon, d.Store()
 	}
-	return st
+	return t, nil
+}
+
+// access is what a route needs from the site it addresses.
+type access int
+
+const (
+	// read serves from any site: a writer, or a replica's last applied
+	// snapshot.
+	read access = iota
+	// lead streams a writer's record log; a replica answers 409.
+	lead
+	// mutate changes a writer: a replica answers 409, and the site's
+	// bearer token is enforced.
+	mutate
+	// remove is mutate without materializing the site, so deleting a
+	// parked site does not rehydrate it first.
+	remove
+)
+
+// resolve looks up the request's site in the fleet — the {site} path
+// value, or the default site on the alias routes — and checks it
+// against what the route needs. On failure it writes the error (404
+// unknown site, 409 replica, 401 token) and reports false.
+func (s *server) resolve(w http.ResponseWriter, r *http.Request, need access) (target, bool) {
+	name := r.PathValue("site")
+	alias := name == ""
+	if alias {
+		name = s.defaultSite()
+	}
+	fs, ok := s.fleet.Site(name)
+	if !ok {
+		if alias {
+			writeError(w, http.StatusNotFound, fmt.Errorf("no default site (it was removed; address sites by name)"))
+		} else {
+			writeError(w, http.StatusNotFound, fmt.Errorf("unknown site %q (GET /sites lists them)", name))
+		}
+		return target{}, false
+	}
+	if rep := fs.Replica(); rep != nil && need == lead {
+		writeError(w, http.StatusConflict,
+			fmt.Errorf("site %s is a replica; fetch records from its leader %s", name, rep.Source()))
+		return target{}, false
+	} else if rep != nil && need >= mutate {
+		writeError(w, http.StatusConflict,
+			fmt.Errorf("site %s is a read-only replica (following %s)", name, rep.Source()))
+		return target{}, false
+	}
+	if need >= mutate && !payload(fs.Payload()).authorize(w, r, name) {
+		return target{}, false
+	}
+	if need == remove {
+		return target{name: name}, true
+	}
+	t, err := view(fs, true)
+	if err != nil {
+		// The site was removed mid-request.
+		writeError(w, http.StatusNotFound, err)
+		return target{}, false
+	}
+	return t, true
 }
 
 func (s *server) handler() http.Handler {
@@ -367,16 +332,14 @@ func (s *server) handler() http.Handler {
 		// parked or removed default site (health stays cheap: no
 		// rehydration on the probe path).
 		var version uint64
-		s.mu.RLock()
-		def := s.def
-		n := len(s.sites)
-		s.mu.RUnlock()
-		if def != nil {
-			if snap := def.snap(); snap != nil {
-				version = snap.Version()
+		if fs, ok := s.fleet.Site(s.defaultSite()); ok {
+			if t, _ := view(fs, false); t.rd != nil {
+				if snap := t.rd.Snapshot(); snap != nil {
+					version = snap.Version()
+				}
 			}
 		}
-		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "version": version, "sites": n})
+		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "version": version, "sites": s.fleet.Stats().Sites})
 	})
 	if s.pprof {
 		// Profiling of the live update/locate hot paths, opt-in via
@@ -424,8 +387,8 @@ type locateResponse struct {
 }
 
 func (s *server) handleLocate(w http.ResponseWriter, r *http.Request) {
-	st := s.siteFor(w, r)
-	if st == nil {
+	t, ok := s.resolve(w, r, read)
+	if !ok {
 		return
 	}
 	var req locateRequest
@@ -438,31 +401,17 @@ func (s *server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Pin one snapshot so the reported version matches the database every
-	// estimate in the response was computed against. A writer site
-	// resolves through the fleet — a parked site's first locate pays its
-	// rehydration here — while a replica serves its last applied
-	// snapshot.
-	var snap *iupdater.Snapshot
-	var lat *obs.Histogram
-	var mon *iupdater.Monitor
-	if st.rep != nil {
-		snap = st.rep.Snapshot()
-		lat = st.rep.LocateLatency()
-		if snap == nil {
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("replica %s has not synced from its leader yet", st.name))
-			return
-		}
-	} else {
-		d, m, ok := st.writer(w)
-		if !ok {
-			return
-		}
-		snap, lat, mon = d.Snapshot(), d.LocateLatency(), m
+	// estimate in the response was computed against.
+	snap := t.rd.Snapshot()
+	if snap == nil {
+		writeError(w, http.StatusServiceUnavailable,
+			fmt.Errorf("replica %s has not synced from its leader yet", t.name))
+		return
 	}
+	lat := t.rd.LocateLatency()
 	observe := func(rss []float64) {
-		if mon != nil {
-			_ = mon.Observe(rss)
+		if t.mon != nil {
+			_ = t.mon.Observe(rss)
 		}
 	}
 	tr := trace.FromContext(r.Context())
@@ -470,21 +419,7 @@ func (s *server) handleLocate(w http.ResponseWriter, r *http.Request) {
 	resp := locateResponse{Version: snap.Version()}
 	if req.RSS != nil {
 		start := time.Now()
-		var p iupdater.Position
-		var err error
-		if tr != nil {
-			sp := tr.StartSpan("omp.solve")
-			var ls iupdater.LocateStats
-			p, ls, err = snap.LocateWithStats(req.RSS)
-			sp.SetStr("tier", ls.Tier)
-			sp.SetInt("column_evals", int64(ls.ColumnEvals))
-			sp.SetInt("shard_evals", int64(ls.ShardEvals))
-			sp.SetInt("shards_visited", int64(ls.ShardsVisited))
-			sp.SetInt("rounds", int64(ls.Rounds))
-			sp.End()
-		} else {
-			p, err = snap.Locate(req.RSS)
-		}
+		p, err := snap.LocateTraced(tr, req.RSS)
 		lat.Observe(time.Since(start).Seconds())
 		if err != nil {
 			writeError(w, http.StatusUnprocessableEntity, err)
@@ -533,14 +468,11 @@ type updateResponse struct {
 }
 
 func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
-	st := s.siteFor(w, r)
-	if st == nil || st.readOnly(w) || !st.authorize(w, r) {
-		return
-	}
-	d, _, ok := st.writer(w)
+	t, ok := s.resolve(w, r, mutate)
 	if !ok {
 		return
 	}
+	d, st := t.d, t.st
 	var req updateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
@@ -631,25 +563,15 @@ type snapshotResponse struct {
 }
 
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	st := s.siteFor(w, r)
-	if st == nil {
+	t, ok := s.resolve(w, r, read)
+	if !ok {
 		return
 	}
-	var snap *iupdater.Snapshot
-	var d *iupdater.Deployment
-	if st.rep != nil {
-		snap = st.rep.Snapshot()
-		if snap == nil {
-			writeError(w, http.StatusServiceUnavailable,
-				fmt.Errorf("replica %s has not synced from its leader yet", st.name))
-			return
-		}
-	} else {
-		var ok bool
-		if d, _, ok = st.writer(w); !ok {
-			return
-		}
-		snap = d.Snapshot()
+	snap := t.rd.Snapshot()
+	if snap == nil {
+		writeError(w, http.StatusServiceUnavailable,
+			fmt.Errorf("replica %s has not synced from its leader yet", t.name))
+		return
 	}
 	fp := snap.Fingerprints()
 	resp := snapshotResponse{
@@ -658,12 +580,8 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		Cells:        fp.Cols(),
 		Fingerprints: fp.ToRows(),
 	}
-	if st.rep != nil {
-		writeJSON(w, http.StatusOK, resp)
-		return
-	}
-	if store := d.Store(); store != nil {
-		for _, rec := range store.Records() {
+	if t.store != nil {
+		for _, rec := range t.store.Records() {
 			if rec.Version == snap.Version() {
 				resp.Record = &recordJSON{Version: rec.Version, Kind: rec.Kind, Bytes: rec.Bytes}
 				break
@@ -723,23 +641,15 @@ func driftJSON(stats iupdater.MonitorStats) driftResponse {
 }
 
 func (s *server) handleDrift(w http.ResponseWriter, r *http.Request) {
-	st := s.siteFor(w, r)
-	if st == nil {
-		return
-	}
-	if st.rep != nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("drift monitor disabled (start with -monitor)"))
-		return
-	}
-	_, mon, ok := st.writer(w)
+	t, ok := s.resolve(w, r, read)
 	if !ok {
 		return
 	}
-	if mon == nil {
+	if t.mon == nil {
 		writeError(w, http.StatusNotFound, fmt.Errorf("drift monitor disabled (start with -monitor)"))
 		return
 	}
-	writeJSON(w, http.StatusOK, driftJSON(mon.Stats()))
+	writeJSON(w, http.StatusOK, driftJSON(t.mon.Stats()))
 }
 
 type rollbackResponse struct {
@@ -751,13 +661,13 @@ type rollbackResponse struct {
 }
 
 func (s *server) handleRollback(w http.ResponseWriter, r *http.Request) {
-	st := s.siteFor(w, r)
-	if st == nil || st.readOnly(w) || !st.authorize(w, r) {
+	t, ok := s.resolve(w, r, mutate)
+	if !ok {
 		return
 	}
 	vstr := r.URL.Query().Get("version")
 	if vstr == "" {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("provide ?version=N (GET /sites/%s lists retained versions)", st.name))
+		writeError(w, http.StatusBadRequest, fmt.Errorf("provide ?version=N (GET /sites/%s lists retained versions)", t.name))
 		return
 	}
 	version, err := strconv.ParseUint(vstr, 10, 64)
@@ -765,11 +675,7 @@ func (s *server) handleRollback(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("version %q: %w", vstr, err))
 		return
 	}
-	d, _, ok := st.writer(w)
-	if !ok {
-		return
-	}
-	snap, err := d.Rollback(version)
+	snap, err := t.d.Rollback(version)
 	if err != nil {
 		writeError(w, http.StatusUnprocessableEntity, err)
 		return
@@ -782,22 +688,13 @@ func (s *server) handleRollback(w http.ResponseWriter, r *http.Request) {
 // iupdater.Deployment.ServeRecords for the protocol). Replica sites do
 // not re-serve records, and in-memory sites have no log to stream.
 func (s *server) handleRecords(w http.ResponseWriter, r *http.Request) {
-	st := s.siteFor(w, r)
-	if st == nil {
-		return
-	}
-	if st.rep != nil {
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("site %s is a replica; fetch records from its leader %s", st.name, st.rep.Source()))
-		return
-	}
-	d, _, ok := st.writer(w)
+	t, ok := s.resolve(w, r, lead)
 	if !ok {
 		return
 	}
-	if d.Store() == nil {
+	if t.store == nil {
 		writeError(w, http.StatusNotImplemented,
-			fmt.Errorf("site %s has no durable store to replicate from (start with -data-dir)", st.name))
+			fmt.Errorf("site %s has no durable store to replicate from (start with -data-dir)", t.name))
 		return
 	}
 	// Derive the request context from the drain signal: Shutdown does
@@ -807,7 +704,7 @@ func (s *server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	defer cancel()
 	stop := context.AfterFunc(s.drain, cancel)
 	defer stop()
-	d.ServeRecords().ServeHTTP(w, r.WithContext(ctx))
+	t.d.ServeRecords().ServeHTTP(w, r.WithContext(ctx))
 }
 
 // siteSummaryJSON mirrors iupdater.SiteSummary over the wire.
@@ -939,7 +836,7 @@ func (s *server) handleSitePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	if s.site(name) != nil {
+	if _, ok := s.fleet.Site(name); ok {
 		writeError(w, http.StatusConflict, fmt.Errorf("site %q already exists (DELETE it first to replace it)", name))
 		return
 	}
@@ -958,21 +855,22 @@ func (s *server) handleSitePut(w http.ResponseWriter, r *http.Request) {
 		iupdater.WithWorkers(s.workers), iupdater.WithUpdateConcurrency(s.updateConc),
 		iupdater.WithTracer(s.tracer, name),
 	}
-	st, warm, err := buildSite(siteSpec{name: name, env: req.Env}, req.Seed, s.dataDir, s.retain, opts)
+	cfg, warm, err := buildSite(siteSpec{name: name, env: req.Env}, req.Seed, s.dataDir, s.retain, opts)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	st.token = req.Token
+	payload(cfg.Payload).token = req.Token
 	if req.Monitor || s.monitorOn {
-		if err := st.enableMonitor(); err != nil {
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
+		cfg = withMonitor(cfg)
 	}
-	if err := s.addSite(st); err != nil {
-		// Lost a race with a concurrent PUT for the same name.
-		writeError(w, http.StatusConflict, err)
+	if err := s.addSite(name, cfg); err != nil {
+		status := http.StatusInternalServerError // the monitor failed to build
+		if _, dup := s.fleet.Site(name); dup {
+			// Lost a race with a concurrent PUT for the same name.
+			status = http.StatusConflict
+		}
+		writeError(w, status, err)
 		return
 	}
 	s.manifestAdd(manifestEntry{Name: name, Env: req.Env, Seed: req.Seed, Token: req.Token, Monitor: req.Monitor || s.monitorOn})
@@ -986,20 +884,15 @@ func (s *server) handleSitePut(w http.ResponseWriter, r *http.Request) {
 // manifest entry is dropped; the store directory itself is kept, so a
 // later PUT of the same name warm-starts from it.
 func (s *server) handleSiteDelete(w http.ResponseWriter, r *http.Request) {
-	name := r.PathValue("site")
-	st := s.site(name)
-	if st == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("unknown site %q (GET /sites lists them)", name))
+	t, ok := s.resolve(w, r, remove)
+	if !ok {
 		return
 	}
-	if st.readOnly(w) || !st.authorize(w, r) {
-		return
-	}
+	name := t.name
 	if err := s.fleet.RemoveSite(name); err != nil {
 		writeError(w, http.StatusInternalServerError, err)
 		return
 	}
-	s.removeSite(name)
 	s.manifestRemove(name)
 	log.Printf("site %s: removed via API", name)
 	writeJSON(w, http.StatusOK, map[string]any{"removed": name})
@@ -1076,7 +969,7 @@ func (s *server) restoreManifestSites() error {
 	entries := s.manifestLoad()
 	s.manifestMu.Unlock()
 	for _, e := range entries {
-		if s.site(e.Name) != nil {
+		if _, ok := s.fleet.Site(e.Name); ok {
 			s.manifestRemove(e.Name)
 			continue
 		}
@@ -1084,18 +977,16 @@ func (s *server) restoreManifestSites() error {
 			iupdater.WithWorkers(s.workers), iupdater.WithUpdateConcurrency(s.updateConc),
 			iupdater.WithTracer(s.tracer, e.Name),
 		}
-		st, warm, err := buildSite(siteSpec{name: e.Name, env: e.Env}, e.Seed, s.dataDir, s.retain, opts)
+		cfg, warm, err := buildSite(siteSpec{name: e.Name, env: e.Env}, e.Seed, s.dataDir, s.retain, opts)
 		if err != nil {
 			log.Printf("site %s: manifest restore failed (entry kept): %v", e.Name, err)
 			continue
 		}
-		st.token = e.Token
+		payload(cfg.Payload).token = e.Token
 		if e.Monitor {
-			if err := st.enableMonitor(); err != nil {
-				return err
-			}
+			cfg = withMonitor(cfg)
 		}
-		if err := s.addSite(st); err != nil {
+		if err := s.addSite(e.Name, cfg); err != nil {
 			return err
 		}
 		log.Printf("site %s: restored from fleet manifest (%s, seed %d, warm=%v)", e.Name, e.Env, e.Seed, warm)
@@ -1133,17 +1024,21 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var buf bytes.Buffer
 	mw := obs.NewWriter(&buf)
 	site := func(name string) obs.Label { return obs.Label{Name: "site", Value: name} }
+	// peek views a site without rehydrating it: scrapes never defeat the
+	// LRU. A parked site has no deployment to sample, and a site removed
+	// since Summaries (removal racing the scrape) has nothing at all.
+	peek := func(name string) target {
+		if fs, ok := s.fleet.Site(name); ok {
+			t, _ := view(fs, false)
+			return t
+		}
+		return target{}
+	}
 
 	mw.Family("iupdater_locate_latency_seconds", "histogram", "End-to-end locate latency in seconds, snapshot load included.")
 	for _, sum := range sums {
-		// A parked site's histogram is released with its deployment, and a
-		// site the fleet knows but the router no longer does (removal
-		// racing the scrape) simply has no sample — scrapes never
-		// rehydrate.
-		if st := s.site(sum.Name); st != nil {
-			if lat := st.latency(); lat != nil {
-				mw.Histogram("iupdater_locate_latency_seconds", lat.Snapshot(), site(sum.Name))
-			}
+		if rd := peek(sum.Name).rd; rd != nil {
+			mw.Histogram("iupdater_locate_latency_seconds", rd.LocateLatency().Snapshot(), site(sum.Name))
 		}
 	}
 
@@ -1158,11 +1053,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	mw.Family("iupdater_update_duration_seconds", "histogram",
 		"Update pipeline stage latency in seconds, by stage (sample, reconstruct, persist, swap).")
 	for _, sum := range sums {
-		st := s.site(sum.Name)
-		if st == nil || st.rep != nil {
-			continue
-		}
-		d := st.deployment()
+		d := peek(sum.Name).d
 		if d == nil {
 			continue
 		}
@@ -1175,11 +1066,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	mw.Family("iupdater_publish_total", "counter", "Snapshot publishes made visible to queries (updates, installs, rollbacks).")
 	for _, sum := range sums {
-		st := s.site(sum.Name)
-		if st == nil || st.rep != nil {
-			continue
-		}
-		if d := st.deployment(); d != nil {
+		if d := peek(sum.Name).d; d != nil {
 			mw.Sample("iupdater_publish_total", float64(d.Publishes()), site(sum.Name))
 		}
 	}
@@ -1294,15 +1181,9 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 	mw.Family("iupdater_store_compactions_total", "counter", "Log rewrites that dropped history (manual and retention-driven).")
 	for _, sum := range sums {
-		st := s.site(sum.Name)
-		if st == nil || st.rep != nil {
-			continue
+		if store := peek(sum.Name).store; store != nil {
+			mw.Sample("iupdater_store_compactions_total", float64(store.Compactions()), site(sum.Name))
 		}
-		d := st.deployment()
-		if d == nil || d.Store() == nil {
-			continue
-		}
-		mw.Sample("iupdater_store_compactions_total", float64(d.Store().Compactions()), site(sum.Name))
 	}
 
 	// Fleet lifecycle: registrations versus what the snapshot LRU keeps
@@ -1509,32 +1390,34 @@ func parseFollowSpecs(spec string, taken map[string]bool) ([]followSpec, error) 
 
 // buildSite wires one site: a testbed for its environment, and either a
 // warm restart from its store directory (when dataDir is set and holds
-// snapshots) or a fresh survey persisted into it. Returns the site and
-// whether it warm-started.
-func buildSite(spec siteSpec, seed uint64, dataDir string, retain int, opts []iupdater.Option) (*site, bool, error) {
+// snapshots) or a fresh survey persisted into it. Returns the site's
+// fleet registration — the deployment, with serve's per-site state as
+// payload — and whether it warm-started.
+func buildSite(spec siteSpec, seed uint64, dataDir string, retain int, opts []iupdater.Option) (iupdater.SiteConfig, bool, error) {
+	var none iupdater.SiteConfig
 	env, err := pickEnv(spec.env)
 	if err != nil {
-		return nil, false, fmt.Errorf("site %s: %w", spec.name, err)
+		return none, false, fmt.Errorf("site %s: %w", spec.name, err)
 	}
 	tb := iupdater.NewTestbed(env, seed)
 	var st *iupdater.Store
 	if dataDir != "" {
 		st, err = iupdater.OpenStore(filepath.Join(dataDir, spec.name), iupdater.WithRetention(retain))
 		if err != nil {
-			return nil, false, fmt.Errorf("site %s: %w", spec.name, err)
+			return none, false, fmt.Errorf("site %s: %w", spec.name, err)
 		}
 		if st.LatestVersion() > 0 {
 			d, err := iupdater.OpenDeployment(st, opts...)
 			if err != nil {
 				st.Close()
-				return nil, false, fmt.Errorf("site %s: %w", spec.name, err)
+				return none, false, fmt.Errorf("site %s: %w", spec.name, err)
 			}
 			if d.Geometry() != tb.Geometry() {
 				st.Close()
-				return nil, false, fmt.Errorf("site %s: stored geometry %+v does not match environment %s (%+v)",
+				return none, false, fmt.Errorf("site %s: stored geometry %+v does not match environment %s (%+v)",
 					spec.name, d.Geometry(), env.Name(), tb.Geometry())
 			}
-			return newSite(spec.name, d, tb), true, nil
+			return iupdater.SiteConfig{Deployment: d, Payload: &site{tb: tb}}, true, nil
 		}
 	}
 	if st != nil {
@@ -1545,9 +1428,9 @@ func buildSite(spec siteSpec, seed uint64, dataDir string, retain int, opts []iu
 		if st != nil {
 			st.Close()
 		}
-		return nil, false, fmt.Errorf("site %s: %w", spec.name, err)
+		return none, false, fmt.Errorf("site %s: %w", spec.name, err)
 	}
-	return newSite(spec.name, d, tb), false, nil
+	return iupdater.SiteConfig{Deployment: d, Payload: &site{tb: tb}}, false, nil
 }
 
 func runServe(args []string) error {
@@ -1623,30 +1506,29 @@ func runServe(args []string) error {
 			iupdater.WithTracer(s.tracer, spec.name),
 		}
 		log.Printf("site %s: preparing %s (seed %d)...", spec.name, spec.env, *seed+uint64(i))
-		st, warm, err := buildSite(spec, *seed+uint64(i), *dataDir, *retain, opts)
+		cfg, warm, err := buildSite(spec, *seed+uint64(i), *dataDir, *retain, opts)
 		if err != nil {
 			return err
 		}
+		d := cfg.Deployment
 		if warm {
 			log.Printf("site %s: warm restart from %s (snapshot v%d, %d versions retained)",
-				spec.name, st.d.Store().Dir(), st.d.Version(), len(st.d.Store().Versions()))
+				spec.name, d.Store().Dir(), d.Version(), len(d.Store().Versions()))
 		} else {
 			log.Printf("site %s: surveyed: %d links, %d cells%s",
-				spec.name, st.tb.Links(), st.tb.NumCells(), durabilityNote(st.d))
+				spec.name, d.Geometry().Links, d.Geometry().NumCells(), durabilityNote(d))
 		}
 		if *monitorOn {
-			if err := st.enableMonitor(); err != nil {
-				return err
-			}
+			cfg = withMonitor(cfg)
 		}
-		updates, cancelUpdates := st.d.Updates()
+		updates, cancelUpdates := d.Updates()
 		cancels = append(cancels, cancelUpdates)
 		go func(name string) {
 			for snap := range updates {
 				log.Printf("site %s: published fingerprint snapshot v%d", name, snap.Version())
 			}
 		}(spec.name)
-		if err := s.addSite(st); err != nil {
+		if err := s.addSite(spec.name, cfg); err != nil {
 			return err
 		}
 	}
@@ -1655,7 +1537,7 @@ func runServe(args []string) error {
 		if err != nil {
 			return fmt.Errorf("site %s: %w", spec.name, err)
 		}
-		if err := s.addSite(newReplicaSite(spec.name, rep)); err != nil {
+		if _, err := s.fleet.AddReplica(spec.name, rep); err != nil {
 			rep.Close()
 			return err
 		}
@@ -1680,7 +1562,7 @@ func runServe(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	log.Printf("serving %d site(s) %v on %s (POST /locate|/update|/rollback, GET /snapshot|/drift|/records|/sites|/metrics|/traces|/healthz; per-site under /sites/{name}/...)",
-		len(s.sites), s.fleet.Names(), ln.Addr())
+		len(s.fleet.Names()), s.fleet.Names(), ln.Addr())
 	return serveUntil(ctx, srv, ln, *drainTimeout, func() {
 		// Monitors first (Fleet.Close waits out in-flight auto-updates,
 		// whose publishes must still reach the logging subscriptions),

@@ -15,27 +15,31 @@ import (
 	"iupdater"
 )
 
-// newOfficeSite deploys one office-testbed site for handler tests.
-func newOfficeSite(t *testing.T, name string, seed uint64) *site {
+// newOfficeSite deploys one in-memory office-testbed site for handler
+// tests, ready to register with server.addSite.
+func newOfficeSite(t *testing.T, seed uint64) iupdater.SiteConfig {
 	t.Helper()
 	tb := iupdater.NewTestbed(iupdater.Office(), seed)
 	d, _, err := tb.Deploy(0, 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newSite(name, d, tb)
+	return iupdater.SiteConfig{Deployment: d, Payload: &site{tb: tb}}
 }
+
+// testbedOf returns the testbed a site registration measures from.
+func testbedOf(cfg iupdater.SiteConfig) *iupdater.Testbed { return payload(cfg.Payload).tb }
 
 func newTestServer(t *testing.T) (*httptest.Server, *iupdater.Testbed) {
 	t.Helper()
-	st := newOfficeSite(t, "default", 1)
+	st := newOfficeSite(t, 1)
 	s := newServer(0)
-	if err := s.addSite(st); err != nil {
+	if err := s.addSite("default", st); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.handler())
 	t.Cleanup(ts.Close)
-	return ts, st.tb
+	return ts, testbedOf(st)
 }
 
 func postJSON(t *testing.T, url string, body any, out any) int {
@@ -237,10 +241,7 @@ func TestServeFleetRoutes(t *testing.T) {
 		if warm {
 			t.Fatalf("site %s warm-started from an empty directory", name)
 		}
-		if err := st.enableMonitor(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.addSite(st); err != nil {
+		if err := s.addSite(name, withMonitor(st)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -347,7 +348,7 @@ func TestServeWarmRestart(t *testing.T) {
 		t.Fatal("first build claims warm restart")
 	}
 	s1 := newServer(0)
-	if err := s1.addSite(st1); err != nil {
+	if err := s1.addSite("default", st1); err != nil {
 		t.Fatal(err)
 	}
 	ts1 := httptest.NewServer(s1.handler())
@@ -355,8 +356,8 @@ func TestServeWarmRestart(t *testing.T) {
 	if code := postJSON(t, ts1.URL+"/update", updateRequest{Days: 20}, &up); code != http.StatusOK {
 		t.Fatalf("update status %d", code)
 	}
-	cx, cy := st1.tb.CellCenter(31)
-	probe := st1.tb.MeasureOnline(cx, cy, 20*24*time.Hour)
+	cx, cy := testbedOf(st1).CellCenter(31)
+	probe := testbedOf(st1).MeasureOnline(cx, cy, 20*24*time.Hour)
 	var before locateResponse
 	if code := postJSON(t, ts1.URL+"/locate", locateRequest{RSS: probe}, &before); code != http.StatusOK {
 		t.Fatalf("locate status %d", code)
@@ -375,7 +376,7 @@ func TestServeWarmRestart(t *testing.T) {
 		t.Fatal("second build did not warm-start")
 	}
 	s2 := newServer(0)
-	if err := s2.addSite(st2); err != nil {
+	if err := s2.addSite("default", st2); err != nil {
 		t.Fatal(err)
 	}
 	defer s2.fleet.Close()
@@ -411,37 +412,35 @@ func TestParseSiteSpecs(t *testing.T) {
 }
 
 func TestServeDriftEndpointAndMonitorFeed(t *testing.T) {
-	st := newOfficeSite(t, "default", 1)
 	// Without -monitor the endpoint reports 404.
 	sOff := newServer(0)
-	if err := sOff.addSite(st); err != nil {
+	if err := sOff.addSite("default", newOfficeSite(t, 1)); err != nil {
 		t.Fatal(err)
 	}
+	defer sOff.fleet.Close()
 	off := httptest.NewServer(sOff.handler())
 	defer off.Close()
 	if code := getJSON(t, off.URL+"/drift", nil); code != http.StatusNotFound {
 		t.Errorf("/drift without -monitor: status %d, want 404", code)
 	}
 
-	st2 := newOfficeSite(t, "default", 1)
-	if err := st2.enableMonitor(); err != nil {
-		t.Fatal(err)
-	}
-	defer st2.monitor().Close()
+	st2 := newOfficeSite(t, 1)
 	sOn := newServer(0)
-	if err := sOn.addSite(st2); err != nil {
+	if err := sOn.addSite("default", withMonitor(st2)); err != nil {
 		t.Fatal(err)
 	}
+	defer sOn.fleet.Close()
 	on := httptest.NewServer(sOn.handler())
 	defer on.Close()
 
 	// Served locate traffic must feed the monitor: single and batch.
-	cx, cy := st2.tb.CellCenter(10)
-	rss := st2.tb.MeasureOnline(cx, cy, time.Hour)
+	tb := testbedOf(st2)
+	cx, cy := tb.CellCenter(10)
+	rss := tb.MeasureOnline(cx, cy, time.Hour)
 	if code := postJSON(t, on.URL+"/locate", locateRequest{RSS: rss}, nil); code != http.StatusOK {
 		t.Fatalf("locate status %d", code)
 	}
-	batch := [][]float64{rss, st2.tb.MeasureOnline(cx, cy, time.Hour+time.Minute)}
+	batch := [][]float64{rss, tb.MeasureOnline(cx, cy, time.Hour+time.Minute)}
 	if code := postJSON(t, on.URL+"/locate", locateRequest{Batch: batch}, nil); code != http.StatusOK {
 		t.Fatalf("batch locate status %d", code)
 	}
@@ -462,14 +461,13 @@ func TestServeDriftEndpointAndMonitorFeed(t *testing.T) {
 }
 
 func TestServeGracefulShutdown(t *testing.T) {
-	st := newOfficeSite(t, "default", 1)
-	if err := st.enableMonitor(); err != nil {
-		t.Fatal(err)
-	}
+	st := newOfficeSite(t, 1)
 	s := newServer(0)
-	if err := s.addSite(st); err != nil {
+	if err := s.addSite("default", withMonitor(st)); err != nil {
 		t.Fatal(err)
 	}
+	fs, _ := s.fleet.Site("default")
+	mon := fs.Monitor()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -480,15 +478,15 @@ func TestServeGracefulShutdown(t *testing.T) {
 	cleaned := make(chan struct{})
 	go func() {
 		done <- serveUntil(ctx, srv, ln, 5*time.Second, func() {
-			st.monitor().Close()
+			s.fleet.Close()
 			close(cleaned)
 		})
 	}()
 
 	// The server must actually be serving before we shut it down.
 	url := "http://" + ln.Addr().String()
-	cx, cy := st.tb.CellCenter(5)
-	rss := st.tb.MeasureOnline(cx, cy, time.Hour)
+	cx, cy := testbedOf(st).CellCenter(5)
+	rss := testbedOf(st).MeasureOnline(cx, cy, time.Hour)
 	if code := postJSON(t, url+"/locate", locateRequest{RSS: rss}, nil); code != http.StatusOK {
 		t.Fatalf("pre-shutdown locate status %d", code)
 	}
@@ -508,7 +506,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 		t.Fatal("cleanup did not run before serveUntil returned")
 	}
 	// The monitor is stopped: further observations must be rejected.
-	if err := st.monitor().Observe(rss); err == nil {
+	if err := mon.Observe(rss); err == nil {
 		t.Error("monitor still accepting observations after shutdown")
 	}
 	// And the listener is really closed.
@@ -521,7 +519,7 @@ func TestServePprofGating(t *testing.T) {
 	// The profiling endpoints must be absent by default and present only
 	// when the -pprof flag enables them.
 	s := newServer(0)
-	if err := s.addSite(newOfficeSite(t, "default", 1)); err != nil {
+	if err := s.addSite("default", newOfficeSite(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 	off := httptest.NewServer(s.handler())
@@ -568,7 +566,7 @@ func TestServeRollbackCompactedVersionIsClientError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.addSite(st); err != nil {
+	if err := s.addSite("default", st); err != nil {
 		t.Fatal(err)
 	}
 	defer s.fleet.Close()
@@ -624,7 +622,7 @@ func TestServeSnapshotAndSummaryExposeRecords(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.addSite(st); err != nil {
+	if err := s.addSite("default", st); err != nil {
 		t.Fatal(err)
 	}
 	defer s.fleet.Close()
@@ -656,7 +654,7 @@ func TestServeSnapshotAndSummaryExposeRecords(t *testing.T) {
 
 	// In-memory sites have no records to report.
 	s2 := newServer(0)
-	if err := s2.addSite(newOfficeSite(t, "default", 1)); err != nil {
+	if err := s2.addSite("default", newOfficeSite(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 	ts2 := httptest.NewServer(s2.handler())

@@ -113,10 +113,7 @@ func (s *server) siteName(r *http.Request) string {
 	if name := r.PathValue("site"); name != "" {
 		return name
 	}
-	if s.def != nil {
-		return s.def.name
-	}
-	return ""
+	return s.defaultSite()
 }
 
 // traceSummaryJSON is one retained trace in the GET /traces listing.

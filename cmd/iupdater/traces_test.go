@@ -19,7 +19,7 @@ import (
 // tracedOfficeSite is newOfficeSite with a durable store and the
 // server's tracer attached to the deployment, so library pipelines
 // (locate, auto-update) land in the rings /traces serves.
-func tracedOfficeSite(t *testing.T, s *server, name string, seed uint64) *site {
+func tracedOfficeSite(t *testing.T, s *server, name string, seed uint64) iupdater.SiteConfig {
 	t.Helper()
 	st, err := iupdater.OpenStore(t.TempDir(), iupdater.WithoutSync())
 	if err != nil {
@@ -31,7 +31,7 @@ func tracedOfficeSite(t *testing.T, s *server, name string, seed uint64) *site {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return newSite(name, d, tb)
+	return iupdater.SiteConfig{Deployment: d, Payload: &site{tb: tb}}
 }
 
 // TestServeTraceparentRoundTrip exercises W3C context propagation on a
@@ -41,14 +41,15 @@ func tracedOfficeSite(t *testing.T, s *server, name string, seed uint64) *site {
 // the OMP solve.
 func TestServeTraceparentRoundTrip(t *testing.T) {
 	s := newServer(0)
-	if err := s.addSite(newOfficeSite(t, "default", 1)); err != nil {
+	st := newOfficeSite(t, 1)
+	if err := s.addSite("default", st); err != nil {
 		t.Fatal(err)
 	}
 	defer s.fleet.Close()
 	ts := httptest.NewServer(s.handler())
 	defer ts.Close()
 
-	tb := s.def.tb
+	tb := testbedOf(st)
 	body, _ := json.Marshal(map[string]any{"rss": tb.MeasureOnline(2, 2, 0)})
 	req, err := http.NewRequest("POST", ts.URL+"/locate", bytes.NewReader(body))
 	if err != nil {
@@ -127,7 +128,7 @@ func TestServeTraceparentRoundTrip(t *testing.T) {
 // persist → swap from the library.
 func TestServeUpdateTraceCoversPipeline(t *testing.T) {
 	s := newServer(0)
-	if err := s.addSite(tracedOfficeSite(t, s, "default", 1)); err != nil {
+	if err := s.addSite("default", tracedOfficeSite(t, s, "default", 1)); err != nil {
 		t.Fatal(err)
 	}
 	defer s.fleet.Close()
@@ -183,15 +184,12 @@ func (driftAfter) Reset()               {}
 // reconstruct → persist → swap, all with non-zero durations.
 func TestServeAutoUpdateTraceUnderHammer(t *testing.T) {
 	s := newServer(0)
-	st := tracedOfficeSite(t, s, "default", 1)
-	if err := st.enableMonitor(
+	st := withMonitor(tracedOfficeSite(t, s, "default", 1),
 		iupdater.WithDriftDetector(driftAfter{}),
 		iupdater.WithDriftHysteresis(3),
 		iupdater.WithSynchronousUpdates(),
-	); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.addSite(st); err != nil {
+	)
+	if err := s.addSite("default", st); err != nil {
 		t.Fatal(err)
 	}
 	defer s.fleet.Close()
@@ -206,7 +204,7 @@ func TestServeAutoUpdateTraceUnderHammer(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			tb := st.tb
+			tb := testbedOf(st)
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -258,7 +256,7 @@ func TestServeAutoUpdateTraceUnderHammer(t *testing.T) {
 // route, site, status, duration and trace ID per request.
 func TestServeAccessLog(t *testing.T) {
 	s := newServer(0)
-	if err := s.addSite(newOfficeSite(t, "default", 1)); err != nil {
+	if err := s.addSite("default", newOfficeSite(t, 1)); err != nil {
 		t.Fatal(err)
 	}
 	defer s.fleet.Close()

@@ -2,6 +2,7 @@ package iupdater
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -41,14 +42,8 @@ type Position struct {
 	X, Y float64
 }
 
-// Option configures a Deployment (and, via the deprecated shims, a
-// Pipeline).
+// Option configures a Deployment.
 type Option func(*config)
-
-// PipelineOption is the former name of Option.
-//
-// Deprecated: use Option.
-type PipelineOption = Option
 
 type config struct {
 	numRefs    int
@@ -277,6 +272,26 @@ func (s *Snapshot) LocateWithStats(rss []float64) (Position, LocateStats, error)
 	return Position{X: p.X, Y: p.Y}, st, nil
 }
 
+// LocateTraced is Locate recording the query as an "omp.solve" child
+// span of tr, carrying its exact search cost (tier, column and shard
+// evaluations, shards visited, pursuit rounds) — the query-side
+// counterpart of Deployment.UpdateTraced. The caller owns tr (serve-mode
+// handlers pass their request trace); a nil tr is plain Locate.
+func (s *Snapshot) LocateTraced(tr *trace.Trace, rss []float64) (Position, error) {
+	if tr == nil {
+		return s.Locate(rss)
+	}
+	sp := tr.StartSpan("omp.solve")
+	p, st, err := s.LocateWithStats(rss)
+	sp.SetStr("tier", st.Tier)
+	sp.SetInt("column_evals", int64(st.ColumnEvals))
+	sp.SetInt("shard_evals", int64(st.ShardEvals))
+	sp.SetInt("shards_visited", int64(st.ShardsVisited))
+	sp.SetInt("rounds", int64(st.Rounds))
+	sp.End()
+	return p, err
+}
+
 // LocateCell estimates the strip-major grid cell index for one online
 // RSS vector.
 func (s *Snapshot) LocateCell(rss []float64) (int, error) {
@@ -318,6 +333,79 @@ func (s *Snapshot) LocateBatch(ctx context.Context, rss [][]float64, workers int
 	return out, nil
 }
 
+// serving is the read path a Deployment and a Replica share: the atomic
+// pointer to the latest published snapshot, the locate-latency
+// histogram, and the tracer and site label locate traces are recorded
+// under. Both types embed it, so its methods are their only
+// Snapshot/Version/Locate/LocateCell/LocateLatency implementation.
+type serving struct {
+	snap   atomic.Pointer[Snapshot]
+	lat    *obs.Histogram
+	tracer *trace.Tracer
+	site   string
+}
+
+// errNoSnapshot is what a read returns before the first snapshot, which
+// only a replica that has not applied its first record can hit.
+var errNoSnapshot = errors.New("iupdater: replica has not applied a snapshot yet")
+
+// Snapshot returns the latest published snapshot — for a Replica, nil
+// until the first record has been applied. The load is a single atomic
+// pointer read.
+func (s *serving) Snapshot() *Snapshot { return s.snap.Load() }
+
+// Version returns the latest published snapshot version (0 on a Replica
+// before the first record).
+func (s *serving) Version() uint64 {
+	if snap := s.snap.Load(); snap != nil {
+		return snap.version
+	}
+	return 0
+}
+
+// LocateLatency returns the cumulative locate-latency histogram
+// (seconds): every Locate, LocateCell or (on a Deployment)
+// LocateMultiple call is one observation, a LocateBatch call one per
+// batch. Safe for concurrent use; the serve layer exposes it on
+// /metrics.
+func (s *serving) LocateLatency() *obs.Histogram { return s.lat }
+
+// Locate estimates the target position for one online RSS vector against
+// the latest snapshot. With a tracer attached (WithTracer,
+// WithReplicaTracer) each call records a "locate" trace carrying this
+// query's exact search cost; unsampled traces cost pooled scratch only —
+// the call stays allocation-free.
+func (s *serving) Locate(rss []float64) (Position, error) {
+	snap := s.snap.Load()
+	if snap == nil {
+		return Position{}, errNoSnapshot
+	}
+	tr := s.tracer.Start("locate", s.site)
+	start := time.Now()
+	p, err := snap.LocateTraced(tr, rss)
+	el := time.Since(start)
+	s.lat.Observe(el.Seconds())
+	root := tr.Root()
+	root.SetInt("version", int64(snap.version))
+	root.SetBool("error", err != nil)
+	root.EndDur(el)
+	tr.Finish()
+	return p, err
+}
+
+// LocateCell estimates the strip-major grid cell index against the
+// latest snapshot.
+func (s *serving) LocateCell(rss []float64) (int, error) {
+	snap := s.snap.Load()
+	if snap == nil {
+		return 0, errNoSnapshot
+	}
+	start := time.Now()
+	cell, err := snap.LocateCell(rss)
+	s.lat.Observe(time.Since(start).Seconds())
+	return cell, err
+}
+
 // Deployment is a long-lived fingerprint-localization service for one
 // physical deployment. It owns a versioned fingerprint store: every
 // Update, Install or initial construction publishes an immutable Snapshot
@@ -332,26 +420,12 @@ func (s *Snapshot) LocateBatch(ctx context.Context, rss [][]float64, workers int
 //
 // Construct with NewDeployment; the zero value is not usable.
 type Deployment struct {
-	geo  Geometry
-	grid geom.Grid
-	cfg  config
+	serving
 
-	snap atomic.Pointer[Snapshot]
-
-	// lat is the cumulative locate-latency histogram (seconds) across
-	// every query path and snapshot version; the serve layer labels and
-	// exposes it on /metrics.
-	lat *obs.Histogram
-
-	// updLat holds the per-stage update-pipeline latency histograms
-	// (StageSample..StageSwap). The observations are the very same
-	// durations recorded on the stage spans, so /metrics and /traces
-	// cannot disagree about where update time went.
-	updLat map[string]*obs.Histogram
-
-	// publishes counts snapshots published by this deployment (the
-	// initial install is not a publish).
-	publishes obs.Counter
+	geo    Geometry
+	grid   geom.Grid
+	cfg    config
+	meters *meters
 
 	// pubMu guards pubTraces, the bounded version -> publish-trace-ID
 	// map that lets /records hand followers the trace that produced the
@@ -386,10 +460,31 @@ func UpdateStages() []string {
 	return []string{StageSample, StageReconstruct, StagePersist, StageSwap}
 }
 
-func newUpdateStageHists() map[string]*obs.Histogram {
-	m := make(map[string]*obs.Histogram, 4)
+// meters are a writer's cumulative instruments, behind one pointer so a
+// fleet site hands the same meters to every Deployment it
+// re-materializes after parking: locate latency, update-stage latency
+// and the publish count survive parking instead of resetting.
+type meters struct {
+	// lat is the locate-latency histogram (seconds) across every query
+	// path and snapshot version; the serve layer exposes it on /metrics.
+	lat *obs.Histogram
+	// updLat holds the per-stage update-pipeline latency histograms
+	// (StageSample..StageSwap). The observations are the very same
+	// durations recorded on the stage spans, so /metrics and /traces
+	// cannot disagree about where update time went.
+	updLat map[string]*obs.Histogram
+	// publishes counts published snapshots (the initial install is not a
+	// publish).
+	publishes obs.Counter
+}
+
+func newMeters() *meters {
+	m := &meters{
+		lat:    obs.NewHistogram(obs.DefLatencyBuckets...),
+		updLat: make(map[string]*obs.Histogram, 4),
+	}
 	for _, st := range UpdateStages() {
-		m[st] = obs.NewHistogram(obs.DefLatencyBuckets...)
+		m.updLat[st] = obs.NewHistogram(obs.DefLatencyBuckets...)
 	}
 	return m
 }
@@ -397,12 +492,12 @@ func newUpdateStageHists() map[string]*obs.Histogram {
 // UpdateStageLatency returns the latency histogram (seconds) for one
 // update-pipeline stage (StageSample, StageReconstruct, StagePersist
 // or StageSwap); nil for unknown stages. Safe for concurrent use.
-func (d *Deployment) UpdateStageLatency(stage string) *obs.Histogram { return d.updLat[stage] }
+func (d *Deployment) UpdateStageLatency(stage string) *obs.Histogram { return d.meters.updLat[stage] }
 
 // Publishes returns how many snapshots this deployment has published
 // (Update/Install/Rollback/auto-update; the initial database does not
 // count).
-func (d *Deployment) Publishes() uint64 { return d.publishes.Value() }
+func (d *Deployment) Publishes() uint64 { return d.meters.publishes.Value() }
 
 // PublishTraceID returns the trace ID of the publish that produced the
 // given snapshot version, when that publish was traced and the version
@@ -435,27 +530,9 @@ func (d *Deployment) recordPublishTrace(version uint64, id trace.ID) {
 // correlation acquisition) is initialized lazily on first use, so
 // query-only deployments pay nothing for it.
 func NewDeployment(fingerprints Matrix, g Geometry, opts ...Option) (*Deployment, error) {
-	var cfg config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if g.Links <= 0 || g.PerStrip <= 0 || g.WidthM <= 0 || g.HeightM <= 0 {
-		return nil, fmt.Errorf("iupdater: invalid geometry %+v", g)
-	}
-	if fingerprints.IsZero() {
-		return nil, fmt.Errorf("iupdater: empty fingerprint matrix")
-	}
-	grid := g.grid()
-	if r, c := fingerprints.Dims(); r != g.Links || c != grid.NumCells() {
-		return nil, fmt.Errorf("iupdater: matrix is %dx%d, want %dx%d", r, c, g.Links, grid.NumCells())
-	}
-	d := &Deployment{
-		geo:    g,
-		grid:   grid,
-		cfg:    cfg,
-		subs:   make(map[uint64]chan *Snapshot),
-		lat:    obs.NewHistogram(obs.DefLatencyBuckets...),
-		updLat: newUpdateStageHists(),
+	cfg := applyOptions(opts)
+	if err := checkDatabase(fingerprints, g); err != nil {
+		return nil, err
 	}
 	// A store that already holds history (a previous deployment life,
 	// e.g. before a fresh full survey) keeps the version line monotonic:
@@ -464,14 +541,13 @@ func NewDeployment(fingerprints Matrix, g Geometry, opts ...Option) (*Deployment
 	if cfg.store != nil {
 		version = cfg.store.LatestVersion() + 1
 	}
-	snap := newSnapshot(version, fingerprints.Clone(), grid, cfg.search)
+	snap := newSnapshot(version, fingerprints.Clone(), g.grid(), cfg.search)
 	if cfg.store != nil {
 		if _, err := cfg.store.appendSnapshot(snap.version, g, snap.fp); err != nil {
 			return nil, err
 		}
 	}
-	d.snap.Store(snap)
-	return d, nil
+	return newDeployment(g, cfg, snap, newMeters()), nil
 }
 
 // newDeploymentAt constructs a writer that continues an existing
@@ -489,29 +565,11 @@ func newDeploymentAt(fingerprints Matrix, g Geometry, version uint64, opts ...Op
 	if version == 0 {
 		return nil, fmt.Errorf("iupdater: cannot continue a version line at version 0")
 	}
-	var cfg config
-	for _, opt := range opts {
-		opt(&cfg)
+	cfg := applyOptions(opts)
+	if err := checkDatabase(fingerprints, g); err != nil {
+		return nil, err
 	}
-	if g.Links <= 0 || g.PerStrip <= 0 || g.WidthM <= 0 || g.HeightM <= 0 {
-		return nil, fmt.Errorf("iupdater: invalid geometry %+v", g)
-	}
-	if fingerprints.IsZero() {
-		return nil, fmt.Errorf("iupdater: empty fingerprint matrix")
-	}
-	grid := g.grid()
-	if r, c := fingerprints.Dims(); r != g.Links || c != grid.NumCells() {
-		return nil, fmt.Errorf("iupdater: matrix is %dx%d, want %dx%d", r, c, g.Links, grid.NumCells())
-	}
-	d := &Deployment{
-		geo:    g,
-		grid:   grid,
-		cfg:    cfg,
-		subs:   make(map[uint64]chan *Snapshot),
-		lat:    obs.NewHistogram(obs.DefLatencyBuckets...),
-		updLat: newUpdateStageHists(),
-	}
-	snap := newSnapshot(version, fingerprints.Clone(), grid, cfg.search)
+	snap := newSnapshot(version, fingerprints.Clone(), g.grid(), cfg.search)
 	if cfg.store != nil {
 		if last := cfg.store.LatestVersion(); last > version {
 			return nil, fmt.Errorf("iupdater: store already holds version %d, beyond the takeover version %d", last, version)
@@ -521,8 +579,7 @@ func newDeploymentAt(fingerprints Matrix, g Geometry, version uint64, opts ...Op
 			}
 		}
 	}
-	d.snap.Store(snap)
-	return d, nil
+	return newDeployment(g, cfg, snap, newMeters()), nil
 }
 
 // OpenDeployment warm-starts a Deployment from the latest snapshot in a
@@ -533,19 +590,16 @@ func newDeploymentAt(fingerprints Matrix, g Geometry, version uint64, opts ...Op
 // applied as in NewDeployment (a WithStore option is unnecessary and
 // ignored in favor of st).
 func OpenDeployment(st *Store, opts ...Option) (*Deployment, error) {
-	var cfg config
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	return openDeploymentCfg(st, cfg)
+	return openDeploymentCfg(st, applyOptions(opts), newMeters())
 }
 
 // openDeploymentCfg is OpenDeployment with the option set already
 // resolved into a config value. The fleet's snapshot LRU rehydrates
 // parked sites through it with the exact config their deployment was
 // built with, so a re-materialized site serves under identical search
-// tiers, workers and tracer wiring.
-func openDeploymentCfg(st *Store, cfg config) (*Deployment, error) {
+// tiers, workers and tracer wiring, and with the site's meters, so its
+// counters continue where the parked deployment left them.
+func openDeploymentCfg(st *Store, cfg config, m *meters) (*Deployment, error) {
 	if st == nil {
 		return nil, fmt.Errorf("iupdater: OpenDeployment: nil store")
 	}
@@ -554,21 +608,52 @@ func openDeploymentCfg(st *Store, cfg config) (*Deployment, error) {
 		return nil, err
 	}
 	cfg.store = st
-	if g.Links <= 0 || g.PerStrip <= 0 || g.WidthM <= 0 || g.HeightM <= 0 {
+	if !g.valid() {
 		return nil, fmt.Errorf("iupdater: stored geometry %+v is invalid", g)
 	}
-	grid := g.grid()
-	d := &Deployment{
-		geo:    g,
-		grid:   grid,
-		cfg:    cfg,
-		subs:   make(map[uint64]chan *Snapshot),
-		lat:    obs.NewHistogram(obs.DefLatencyBuckets...),
-		updLat: newUpdateStageHists(),
-	}
 	// fp was decoded into fresh storage, so no defensive clone is needed.
-	d.snap.Store(newSnapshot(version, fp, grid, cfg.search))
-	return d, nil
+	return newDeployment(g, cfg, newSnapshot(version, fp, g.grid(), cfg.search), m), nil
+}
+
+func applyOptions(opts []Option) config {
+	var cfg config
+	for _, opt := range opts {
+		opt(&cfg)
+	}
+	return cfg
+}
+
+func (g Geometry) valid() bool {
+	return g.Links > 0 && g.PerStrip > 0 && g.WidthM > 0 && g.HeightM > 0
+}
+
+// checkDatabase validates a fingerprint database against the geometry
+// it is to be served under.
+func checkDatabase(fp Matrix, g Geometry) error {
+	if !g.valid() {
+		return fmt.Errorf("iupdater: invalid geometry %+v", g)
+	}
+	if fp.IsZero() {
+		return fmt.Errorf("iupdater: empty fingerprint matrix")
+	}
+	if r, c := fp.Dims(); r != g.Links || c != g.NumCells() {
+		return fmt.Errorf("iupdater: matrix is %dx%d, want %dx%d", r, c, g.Links, g.NumCells())
+	}
+	return nil
+}
+
+// newDeployment assembles a writer serving snap, its initial snapshot.
+func newDeployment(g Geometry, cfg config, snap *Snapshot, m *meters) *Deployment {
+	d := &Deployment{
+		serving: serving{lat: m.lat, tracer: cfg.tracer, site: cfg.site},
+		geo:     g,
+		grid:    snap.grid,
+		cfg:     cfg,
+		meters:  m,
+		subs:    make(map[uint64]chan *Snapshot),
+	}
+	d.snap.Store(snap)
+	return d
 }
 
 // Store returns the attached durable snapshot store, nil for an
@@ -577,13 +662,6 @@ func (d *Deployment) Store() *Store { return d.cfg.store }
 
 // Geometry returns the deployment layout.
 func (d *Deployment) Geometry() Geometry { return d.geo }
-
-// Snapshot returns the latest published database version. The load is a
-// single atomic pointer read.
-func (d *Deployment) Snapshot() *Snapshot { return d.snap.Load() }
-
-// Version returns the latest published snapshot version.
-func (d *Deployment) Version() uint64 { return d.snap.Load().version }
 
 // CellCenter returns the position of a grid cell's center in meters.
 func (d *Deployment) CellCenter(cell int) Position {
@@ -706,7 +784,7 @@ func (d *Deployment) UpdateTraced(tr *trace.Trace, noDecrease Matrix, known Mask
 	sp.SetInt("links", int64(d.geo.Links))
 	sp.SetInt("cells", int64(cells))
 	sp.EndDur(el)
-	d.updLat[StageReconstruct].Observe(el.Seconds())
+	d.meters.updLat[StageReconstruct].Observe(el.Seconds())
 	if err != nil {
 		return nil, fmt.Errorf("iupdater: %w", err)
 	}
@@ -723,11 +801,8 @@ func (d *Deployment) Install(fingerprints Matrix) (*Snapshot, error) {
 	defer tr.Finish()
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	if fingerprints.IsZero() {
-		return nil, fmt.Errorf("iupdater: empty fingerprint matrix")
-	}
-	if r, c := fingerprints.Dims(); r != d.geo.Links || c != d.grid.NumCells() {
-		return nil, fmt.Errorf("iupdater: matrix is %dx%d, want %dx%d", r, c, d.geo.Links, d.grid.NumCells())
+	if err := checkDatabase(fingerprints, d.geo); err != nil {
+		return nil, err
 	}
 	fp := fingerprints.Clone()
 	up, err := d.buildUpdater(fp)
@@ -817,7 +892,7 @@ func (d *Deployment) publishLocked(tr *trace.Trace, fp Matrix) (*Snapshot, error
 		el := time.Since(t0)
 		sp.SetStr("record_kind", kind)
 		sp.EndDur(el)
-		d.updLat[StagePersist].Observe(el.Seconds())
+		d.meters.updLat[StagePersist].Observe(el.Seconds())
 		if err != nil {
 			return nil, err
 		}
@@ -837,8 +912,8 @@ func (d *Deployment) publishLocked(tr *trace.Trace, fp Matrix) (*Snapshot, error
 	el := time.Since(t0)
 	sp.SetInt("subscribers", int64(n))
 	sp.EndDur(el)
-	d.updLat[StageSwap].Observe(el.Seconds())
-	d.publishes.Inc()
+	d.meters.updLat[StageSwap].Observe(el.Seconds())
+	d.meters.publishes.Inc()
 	if tr != nil {
 		d.recordPublishTrace(snap.version, tr.ID())
 	}
@@ -866,52 +941,6 @@ func (d *Deployment) Updates() (<-chan *Snapshot, func()) {
 		d.subMu.Unlock()
 	}
 	return ch, cancel
-}
-
-// LocateLatency returns the deployment's cumulative locate-latency
-// histogram (seconds): every Locate/LocateCell/LocateMultiple call is
-// one observation, a LocateBatch call one per batch. Safe for
-// concurrent use; the serve layer exposes it on /metrics.
-func (d *Deployment) LocateLatency() *obs.Histogram { return d.lat }
-
-// Locate estimates the target position for one online RSS vector against
-// the latest snapshot. With a tracer attached (WithTracer) each call
-// records a trace carrying this query's exact search cost; unsampled
-// traces cost pooled scratch only — the call stays allocation-free.
-func (d *Deployment) Locate(rss []float64) (Position, error) {
-	tr := d.cfg.tracer.Start("locate", d.cfg.site)
-	start := time.Now()
-	snap := d.snap.Load()
-	if tr == nil {
-		p, err := snap.Locate(rss)
-		d.lat.Observe(time.Since(start).Seconds())
-		return p, err
-	}
-	sp := tr.StartSpan("omp.solve")
-	p, st, err := snap.LocateWithStats(rss)
-	sp.SetStr("tier", st.Tier)
-	sp.SetInt("column_evals", int64(st.ColumnEvals))
-	sp.SetInt("shard_evals", int64(st.ShardEvals))
-	sp.SetInt("shards_visited", int64(st.ShardsVisited))
-	sp.SetInt("rounds", int64(st.Rounds))
-	sp.End()
-	el := time.Since(start)
-	d.lat.Observe(el.Seconds())
-	root := tr.Root()
-	root.SetInt("version", int64(st.Version))
-	root.SetBool("error", err != nil)
-	root.EndDur(el)
-	tr.Finish()
-	return p, err
-}
-
-// LocateCell estimates the strip-major grid cell index against the latest
-// snapshot.
-func (d *Deployment) LocateCell(rss []float64) (int, error) {
-	start := time.Now()
-	cell, err := d.snap.Load().LocateCell(rss)
-	d.lat.Observe(time.Since(start).Seconds())
-	return cell, err
 }
 
 // LocateMultiple estimates up to maxTargets simultaneous targets against

@@ -168,7 +168,11 @@
 // version line), with one Close for the whole lifecycle and Summaries
 // as the aggregated dashboard. The registry is dynamic — AddSite and
 // RemoveSite are safe while queries are in flight, so sites come and
-// go without a restart.
+// go without a restart. It is the only site registry: serve mode keeps
+// no site table of its own, and looks every request's site up in the
+// fleet; what serve needs per site beyond the deployment (testbed,
+// simulated clock, bearer token) rides on the fleet Site as the opaque
+// SiteConfig.Payload.
 //
 // Thousands of registered sites do not mean thousands of resident
 // snapshot matrices: WithResidentLimit(n) caps how many sites keep a
@@ -186,6 +190,11 @@
 // MonitorFactory stay resident regardless of pressure. Summaries
 // reports parked sites from their store (version, retained records)
 // without rehydrating them — a dashboard scrape never defeats the LRU.
+// A site's locate-latency, update-stage and publish counters belong to
+// the site, not to the materialized Deployment: every re-materialized
+// Deployment continues them, so parking never resets what they measured
+// (a /metrics scrape simply has no sample for a site while it is
+// parked).
 //
 // cmd/iupdater serve exposes the fleet over HTTP:
 //
@@ -218,7 +227,11 @@
 // and kept rather than failing boot.
 //
 // The original single-site routes (/locate, /update, /snapshot, /drift,
-// /rollback, /records) remain as aliases for the default site; every
+// /rollback, /records) remain as aliases for the default site: the
+// first site registered (the first -sites entry, the replicate mode's
+// site), fixed by name from then on. Deleting it makes the aliases
+// answer 404 until a site of the same name is registered again; a site
+// registered under any other name never becomes the default. Every
 // route answers wrong-method hits with 405 and an Allow header. Sites
 // are declared with -sites name=env,...; -data-dir roots the per-site
 // stores and makes restarts warm; -retain bounds each store; -resident
@@ -236,8 +249,9 @@
 // disconnects under capped exponential backoff with jitter), feeds
 // every frame through the same CRC recheck and delta structural
 // validation the store runs during crash recovery, and publishes each
-// materialized snapshot behind the same atomic pointer a Deployment
-// uses. Replica.Locate is therefore lock-free and bit-identical to the
+// materialized snapshot through the read path a Deployment embeds too
+// (one atomic snapshot pointer, one instrumented Locate). Replica.Locate
+// is therefore lock-free and bit-identical to the
 // leader's at the same version, and a torn, corrupted or replayed
 // frame is rejected without state change — the follower just re-polls
 // from its last applied version.
@@ -361,7 +375,10 @@
 //
 //   - locate: a root span per query with version/tier attrs and an
 //     omp.solve child carrying column_evals/shard_evals/shards_visited/
-//     rounds from the index's per-query search stats;
+//     rounds from the index's per-query search stats, recorded by
+//     Snapshot.LocateTraced — the one place the span is made, whether
+//     the query comes through Deployment.Locate, Replica.Locate or a
+//     serve-mode request trace;
 //   - update: detect (spanning the hysteresis window on auto-updates) →
 //     sample → reconstruct → snapshot.build → persist (record kind) →
 //     swap; MonitorStats.LastUpdateTraceID and GET /drift's
@@ -468,7 +485,4 @@
 //	snap, _ := dep.Update(tb.NoDecreaseMatrix(t45), tb.Mask(), cols)
 //	fmt.Println("serving fingerprint database v", snap.Version())
 //	pos, _ := dep.Locate(tb.MeasureOnline(6.0, 4.5, t45))
-//
-// The deprecated Pipeline and Localizer types are thin shims over
-// Deployment kept for callers of the original one-shot [][]float64 API.
 package iupdater

@@ -59,44 +59,3 @@ func ExampleDeployment() {
 	// target located at cell: 42
 	// target located at cell: 42
 }
-
-// ExamplePipeline shows the full update-and-localize cycle on the
-// simulated office testbed. The simulation is deterministic for a given
-// seed, so the output is reproducible.
-func ExamplePipeline() {
-	tb := iupdater.NewTestbed(iupdater.Office(), 1)
-
-	// Day 0: original site survey.
-	original, _ := tb.Survey(0, 50)
-	pipeline, err := iupdater.NewPipeline(original, tb.Links(), tb.PerStrip())
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("reference locations:", pipeline.ReferenceLocations())
-
-	// Day 45: refresh from the no-decrease scan + 8 reference columns.
-	at := 45 * 24 * time.Hour
-	columns, labor := tb.MeasureColumnsLabor(at, pipeline.ReferenceLocations())
-	fresh, err := pipeline.Update(tb.NoDecreaseScan(at), tb.KnownMask(), columns)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("update labor: %s for %d locations\n",
-		labor.Duration.Round(time.Second), labor.Locations)
-
-	// Localize a target standing at the center of grid cell 42.
-	localizer, err := iupdater.NewLocalizer(fresh, tb.Geometry())
-	if err != nil {
-		panic(err)
-	}
-	cx, cy := tb.CellCenter(42)
-	cell, err := localizer.LocateCell(tb.MeasureOnline(cx, cy, at+time.Hour))
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("target located at cell:", cell)
-	// Output:
-	// reference locations: [11 23 35 47 59 71 83 95]
-	// update labor: 55s for 8 locations
-	// target located at cell: 42
-}

@@ -98,8 +98,10 @@ type Site struct {
 	store      *Store
 	geo        Geometry
 	depCfg     config
+	meters     *meters
 	monFactory func(*Deployment) (*Monitor, error)
 	parkable   bool
+	payload    any
 }
 
 // Name returns the site's registry name.
@@ -127,6 +129,10 @@ func (s *Site) Monitor() *Monitor {
 
 // Replica returns the site's follower, nil for a writer site.
 func (s *Site) Replica() *Replica { return s.rep }
+
+// Payload returns the opaque value given as SiteConfig.Payload, nil for
+// a replica site.
+func (s *Site) Payload() any { return s.payload }
 
 // Hydrated reports whether the site currently holds a materialized
 // Deployment. Replica sites report true (their serving state is not
@@ -160,6 +166,8 @@ func (s *Site) touch() {
 // and the monitor (if a factory was provided) reconstructed — it
 // restores its calibrated baseline from the store's state blob, so
 // drift tracking survives parking the same way it survives a restart.
+// The new deployment takes over the site's meters, so its locate,
+// update-stage and publish counters continue rather than reset.
 func (s *Site) rehydrate() (*Deployment, *Monitor, error) {
 	s.hydMu.Lock()
 	if l := s.live.Load(); l != nil {
@@ -177,7 +185,7 @@ func (s *Site) rehydrate() (*Deployment, *Monitor, error) {
 		return nil, nil, fmt.Errorf("iupdater: site %q is a replica (serve through Replica)", s.name)
 	}
 	start := time.Now()
-	dep, err := openDeploymentCfg(s.store, s.depCfg)
+	dep, err := openDeploymentCfg(s.store, s.depCfg, s.meters)
 	if err != nil {
 		s.hydMu.Unlock()
 		return nil, nil, fmt.Errorf("iupdater: rehydrating site %q: %w", s.name, err)
@@ -411,6 +419,10 @@ type SiteConfig struct {
 	// initial monitor. A site with a Monitor but no factory is never
 	// parked — the fleet could not restore its monitoring.
 	MonitorFactory func(*Deployment) (*Monitor, error)
+	// Payload is an opaque value the caller keeps with the site (serve
+	// mode keeps its testbed, simulated clock and bearer token there),
+	// returned by Site.Payload. The fleet never reads it.
+	Payload any
 }
 
 // Add registers a site under a unique name (letters, digits, - and _;
@@ -452,7 +464,9 @@ func (f *Fleet) AddSite(name string, cfg SiteConfig) (*Site, error) {
 		store:      d.Store(),
 		geo:        d.Geometry(),
 		depCfg:     d.cfg,
+		meters:     d.meters,
 		monFactory: cfg.MonitorFactory,
+		payload:    cfg.Payload,
 	}
 	site.parkable = site.store != nil && (mon == nil || cfg.MonitorFactory != nil)
 	site.live.Store(&siteLive{dep: d, mon: mon})

@@ -124,6 +124,50 @@ func TestFleetResidentLimitParksAndRehydrates(t *testing.T) {
 	}
 }
 
+// TestFleetCountersSurviveParking: a site's locate latency, update-stage
+// latency and publish counters belong to the site, not to the
+// Deployment parking releases, so a park → rehydrate cycle continues
+// them instead of resetting them to zero.
+func TestFleetCountersSurviveParking(t *testing.T) {
+	f := NewFleet(WithResidentLimit(1))
+	defer f.Close()
+	siteA, _ := addMemorySite(t, f, "a", 1, 3) // two Installs: two publishes
+	d, _, err := siteA.Hydrate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Locate(replicaMatrix(1).Col(0)); err != nil {
+		t.Fatal(err)
+	}
+	locates := d.LocateLatency().Snapshot().Count
+	persists := d.UpdateStageLatency(StagePersist).Snapshot().Count
+	publishes := d.Publishes()
+	if locates == 0 || persists == 0 || publishes == 0 {
+		t.Fatalf("pre-park counters: %d locates, %d persists, %d publishes", locates, persists, publishes)
+	}
+
+	addMemorySite(t, f, "b", 2, 1)
+	if siteA.Hydrated() {
+		t.Fatal("site a not parked past the resident limit")
+	}
+	d2, _, err := siteA.Hydrate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d2 == d {
+		t.Fatal("rehydration returned the parked deployment")
+	}
+	if got := d2.LocateLatency().Snapshot().Count; got < locates {
+		t.Errorf("locate latency count %d after rehydration, want >= %d", got, locates)
+	}
+	if got := d2.UpdateStageLatency(StagePersist).Snapshot().Count; got < persists {
+		t.Errorf("persist stage count %d after rehydration, want >= %d", got, persists)
+	}
+	if got := d2.Publishes(); got < publishes {
+		t.Errorf("publishes %d after rehydration, want >= %d", got, publishes)
+	}
+}
+
 // TestFleetResidentLimitSkipsUnparkables: in-memory sites (no store to
 // rehydrate from) and monitored sites without a MonitorFactory stay
 // resident no matter the pressure — parking either would lose state the

@@ -272,7 +272,6 @@ func TestQueryPathAllocFree(t *testing.T) {
 		{"OMPPoint.Locate", func() { omp.Locate(y) }},
 		{"OMPPoint.LocatePoint", func() { omp.LocatePoint(y) }},
 		{"NearestColumn.Locate", func() { nc.Locate(y) }},
-		{"KNN.Locate", func() { knn.Locate(y) }},
 		{"KNN.NeighborsInto", func() { knn.NeighborsInto(y, idx, dist) }},
 		{"Index.NearestRaw", func() { ix.NearestRaw(y) }},
 	}
@@ -283,13 +282,14 @@ func TestQueryPathAllocFree(t *testing.T) {
 	}
 }
 
-// TestKNNLocateIsNearestNeighbor is the regression test for the old
-// degenerate inverse-distance vote: with one column per cell the vote
-// always elects the nearest neighbor, so Locate must agree with
-// Neighbors' first result on every query.
+// TestKNNLocateIsNearestNeighbor pins why KNN has no Locate of its own:
+// with one column per cell the inverse-distance vote would always elect
+// the nearest neighbor, and Neighbors' first result agrees with
+// NearestColumn.Locate on every query.
 func TestKNNLocateIsNearestNeighbor(t *testing.T) {
 	_, x := officeScenario(33)
 	knn := NewKNN(x, 5)
+	nc := NewNearestColumn(x)
 	m, n := x.Dims()
 	rng := rand.New(rand.NewSource(34))
 	for trial := 0; trial < 50; trial++ {
@@ -302,12 +302,12 @@ func TestKNNLocateIsNearestNeighbor(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := knn.Locate(y)
+		got, err := nc.Locate(y)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got != idx[0] {
-			t.Fatalf("trial %d: Locate = %d, nearest neighbor = %d", trial, got, idx[0])
+			t.Fatalf("trial %d: NearestColumn.Locate = %d, nearest neighbor = %d", trial, got, idx[0])
 		}
 	}
 }

@@ -39,17 +39,17 @@ func (nc *NearestColumn) Locate(y []float64) (int, error) {
 	return j, nil
 }
 
-// KNN is the classic K-nearest-neighbor fingerprint matcher. Neighbors
+// KNN is the classic K-nearest-neighbor fingerprint matcher: Neighbors
 // reports the K closest columns through a bounded top-k heap (no full
-// sort over N candidates); Locate resolves to the single nearest column
-// — see its comment for why the inverse-distance vote adds nothing
-// here.
+// sort over N candidates). It has no single-cell Locate: every
+// fingerprint column here is a distinct grid cell, so the classic
+// inverse-distance vote always elects the nearest column — which is
+// NearestColumn.Locate. Callers that want blended estimates aggregate
+// Neighbors output themselves.
 type KNN struct {
 	ix *Index
 	k  int
 }
-
-var _ Localizer = (*KNN)(nil)
 
 // NewKNN builds a K-nearest-neighbor matcher; k <= 0 defaults to 3.
 func NewKNN(x *mat.Dense, k int) *KNN {
@@ -96,23 +96,4 @@ func (kn *KNN) NeighborsInto(y []float64, idx []int, dist []float64) (int, error
 		dist[i] = math.Sqrt(dist[i])
 	}
 	return got, nil
-}
-
-// Locate implements Localizer by returning the nearest column.
-//
-// In this codebase every fingerprint column is a distinct grid cell, so
-// the classic inverse-distance-weighted KNN vote degenerates: each cell
-// receives exactly one weight term, the nearest neighbor's weight is by
-// construction the largest, and the vote always elects the nearest
-// column. (An earlier implementation ran that vote and, inevitably,
-// returned idx[0] every time.) Locate therefore asks the index for the
-// nearest column directly; callers that want blended estimates across
-// repeated measurements aggregate Neighbors output themselves.
-func (kn *KNN) Locate(y []float64) (int, error) {
-	m, _ := kn.ix.Dims()
-	if len(y) != m {
-		return 0, fmt.Errorf("loc: measurement has %d links, fingerprints have %d", len(y), m)
-	}
-	j, _ := kn.ix.NearestRaw(y)
-	return j, nil
 }

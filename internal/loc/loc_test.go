@@ -153,12 +153,12 @@ func TestKNNNeighborsSortedAndLocate(t *testing.T) {
 			t.Error("distances not sorted")
 		}
 	}
-	got, err := knn.Locate(y)
+	got, err := NewNearestColumn(x).Locate(y)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != 30 {
-		t.Errorf("Locate = %d, want 30", got)
+	if got != idx[0] {
+		t.Errorf("NearestColumn.Locate = %d, want Neighbors()[0] = %d", got, idx[0])
 	}
 }
 

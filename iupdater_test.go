@@ -10,42 +10,45 @@ const day = 24 * time.Hour
 
 func TestPublicAPIEndToEnd(t *testing.T) {
 	tb := NewTestbed(Office(), 1)
-	original, labor := tb.Survey(0, 50)
-	if len(original) != 8 || len(original[0]) != 96 {
-		t.Fatalf("survey shape %dx%d", len(original), len(original[0]))
+	original, labor := tb.SurveyMatrix(0, 50)
+	if r, c := original.Dims(); r != 8 || c != 96 {
+		t.Fatalf("survey shape %dx%d", r, c)
 	}
 	if labor.Locations != 96 || labor.Duration <= 0 {
 		t.Errorf("labor = %+v", labor)
 	}
 
-	p, err := NewPipeline(original, tb.Links(), tb.PerStrip())
+	d, err := NewDeployment(original, tb.Geometry())
 	if err != nil {
 		t.Fatal(err)
 	}
-	refs := p.ReferenceLocations()
+	refs, err := d.ReferenceLocations()
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(refs) != 8 {
 		t.Fatalf("reference count = %d", len(refs))
 	}
 
 	at := 45 * day
-	fresh, err := p.Update(tb.NoDecreaseScan(at), tb.KnownMask(), tb.MeasureColumns(at, refs))
+	cols, _ := tb.ReferenceMatrix(at, refs)
+	snap, err := d.Update(tb.NoDecreaseMatrix(at), tb.Mask(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// The refreshed database must be much closer to the current truth
 	// than the stale original on the labor-cost entries.
-	truth := tb.TrueFingerprints(at)
-	known := tb.KnownMask()
+	fresh, truth, known := snap.Fingerprints(), tb.TrueMatrix(at), tb.Mask()
 	var errFresh, errStale float64
 	var cnt int
-	for i := range truth {
-		for j := range truth[i] {
-			if known[i][j] {
+	for i := 0; i < truth.Rows(); i++ {
+		for j := 0; j < truth.Cols(); j++ {
+			if known.Known(i, j) {
 				continue
 			}
-			errFresh += math.Abs(fresh[i][j] - truth[i][j])
-			errStale += math.Abs(original[i][j] - truth[i][j])
+			errFresh += math.Abs(fresh.At(i, j) - truth.At(i, j))
+			errStale += math.Abs(original.At(i, j) - truth.At(i, j))
 			cnt++
 		}
 	}
@@ -59,113 +62,139 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 	}
 
 	// Localize a target with the refreshed database.
-	loc, err := NewLocalizer(fresh, tb.Geometry())
-	if err != nil {
-		t.Fatal(err)
-	}
 	cx, cy := tb.CellCenter(42)
 	var sum float64
 	const trials = 10
 	for k := 0; k < trials; k++ {
-		rss := tb.MeasureOnline(cx, cy, at+time.Duration(k)*time.Minute)
-		x, y, err := loc.Locate(rss)
+		p, err := d.Locate(tb.MeasureOnline(cx, cy, at+time.Duration(k)*time.Minute))
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum += math.Hypot(x-cx, y-cy)
+		sum += math.Hypot(p.X-cx, p.Y-cy)
 	}
 	if mean := sum / trials; mean > 2.5 {
 		t.Errorf("mean localization error %.2f m at a known cell", mean)
 	}
 }
 
+// TestPipelineValidation: row-slice input reaches the update pipeline
+// through MatrixFromRows, which rejects nil and ragged rows; well-formed
+// rows of the wrong shape for the geometry are rejected by
+// NewDeployment.
 func TestPipelineValidation(t *testing.T) {
-	if _, err := NewPipeline(nil, 8, 12); err == nil {
+	if _, err := MatrixFromRows(nil); err == nil {
 		t.Error("nil matrix accepted")
 	}
-	if _, err := NewPipeline([][]float64{{1, 2}, {3}}, 2, 1); err == nil {
+	if _, err := MatrixFromRows([][]float64{{1, 2}, {3}}); err == nil {
 		t.Error("ragged matrix accepted")
 	}
-	if _, err := NewPipeline([][]float64{{1, 2}, {3, 4}}, 2, 3); err == nil {
+	m, err := MatrixFromRows([][]float64{{1, 2}, {3, 4}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDeployment(m, Geometry{WidthM: 3, HeightM: 2, Links: 2, PerStrip: 3}); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 }
 
+// TestPipelineOptions: the reference-count and solver-ablation options
+// all produce deployments whose update pipeline runs.
 func TestPipelineOptions(t *testing.T) {
 	tb := NewTestbed(Office(), 2)
-	original, _ := tb.Survey(0, 50)
-	p, err := NewPipeline(original, tb.Links(), tb.PerStrip(), WithReferenceCount(5))
+	original, _ := tb.SurveyMatrix(0, 50)
+	d, err := NewDeployment(original, tb.Geometry(), WithReferenceCount(5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := len(p.ReferenceLocations()); got != 5 {
-		t.Errorf("reference count = %d, want 5", got)
+	if refs, err := d.ReferenceLocations(); err != nil || len(refs) != 5 {
+		t.Errorf("reference count = %d (err %v), want 5", len(refs), err)
 	}
-	// Ablation options must still produce working pipelines.
-	for _, opts := range [][]PipelineOption{
+	for _, opts := range [][]Option{
 		{WithPaperInitialization()},
 		{WithoutReferenceConstraint()},
 		{WithoutStabilityConstraint()},
 	} {
-		p, err := NewPipeline(original, tb.Links(), tb.PerStrip(), opts...)
+		d, err := NewDeployment(original, tb.Geometry(), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs, err := d.ReferenceLocations()
 		if err != nil {
 			t.Fatal(err)
 		}
 		at := 5 * day
-		if _, err := p.Update(tb.NoDecreaseScan(at), tb.KnownMask(),
-			tb.MeasureColumns(at, p.ReferenceLocations())); err != nil {
+		cols, _ := tb.ReferenceMatrix(at, refs)
+		if _, err := d.Update(tb.NoDecreaseMatrix(at), tb.Mask(), cols); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
+// TestPipelineRefresh: an updated database round-trips through row
+// slices and installs as the new baseline; a wrong-shape one is refused.
 func TestPipelineRefresh(t *testing.T) {
 	tb := NewTestbed(Office(), 3)
-	original, _ := tb.Survey(0, 50)
-	p, err := NewPipeline(original, tb.Links(), tb.PerStrip())
+	d, _, err := tb.Deploy(0, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refs, err := d.ReferenceLocations()
 	if err != nil {
 		t.Fatal(err)
 	}
 	at := 15 * day
-	fresh, err := p.Update(tb.NoDecreaseScan(at), tb.KnownMask(), tb.MeasureColumns(at, p.ReferenceLocations()))
+	cols, _ := tb.ReferenceMatrix(at, refs)
+	snap, err := d.Update(tb.NoDecreaseMatrix(at), tb.Mask(), cols)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Refresh(fresh); err != nil {
+	fresh, err := MatrixFromRows(snap.Fingerprints().ToRows())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.Refresh([][]float64{{1}}); err == nil {
+	if _, err := d.Install(fresh); err != nil {
+		t.Fatal(err)
+	}
+	bad, err := MatrixFromRows([][]float64{{1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.Install(bad); err == nil {
 		t.Error("bad refresh shape accepted")
 	}
 }
 
+// TestLocalizerValidation: a localizer cannot be built over a missing
+// or wrong-shape fingerprint database.
 func TestLocalizerValidation(t *testing.T) {
 	g := Geometry{WidthM: 12, HeightM: 9, Links: 8, PerStrip: 12}
-	if _, err := NewLocalizer(nil, g); err == nil {
+	if _, err := NewDeployment(Matrix{}, g); err == nil {
 		t.Error("nil fingerprints accepted")
 	}
 	short := make([][]float64, 8)
 	for i := range short {
 		short[i] = make([]float64, 10)
 	}
-	if _, err := NewLocalizer(short, g); err == nil {
+	m, err := MatrixFromRows(short)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewDeployment(m, g); err == nil {
 		t.Error("shape mismatch accepted")
 	}
 }
 
 func TestLocalizerCellHelpers(t *testing.T) {
 	tb := NewTestbed(Hall(), 4)
-	original, _ := tb.Survey(0, 50)
-	l, err := NewLocalizer(original, tb.Geometry())
+	d, _, err := tb.Deploy(0, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, y := l.CellCenter(0)
-	if x <= 0 || y <= 0 {
-		t.Errorf("CellCenter(0) = %v,%v", x, y)
+	c := d.CellCenter(0)
+	if c.X <= 0 || c.Y <= 0 {
+		t.Errorf("CellCenter(0) = %+v", c)
 	}
-	rss := tb.MeasureOnline(x, y, time.Hour)
-	cell, err := l.LocateCell(rss)
+	cell, err := d.LocateCell(tb.MeasureOnline(c.X, c.Y, time.Hour))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,28 +222,23 @@ func TestEnvironmentPresets(t *testing.T) {
 }
 
 func TestTestbedDeterminism(t *testing.T) {
-	a, _ := NewTestbed(Office(), 9).Survey(0, 5)
-	b, _ := NewTestbed(Office(), 9).Survey(0, 5)
-	for i := range a {
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				t.Fatal("same seed, different surveys")
-			}
-		}
+	a, _ := NewTestbed(Office(), 9).SurveyMatrix(0, 5)
+	b, _ := NewTestbed(Office(), 9).SurveyMatrix(0, 5)
+	if !matricesEqual(a, b) {
+		t.Fatal("same seed, different surveys")
 	}
 }
 
 func TestLocateMultiplePublicAPI(t *testing.T) {
 	tb := NewTestbed(Office(), 5)
-	original, _ := tb.Survey(0, 50)
-	l, err := NewLocalizer(original, tb.Geometry())
+	d, _, err := tb.Deploy(0, 50)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ax, ay := tb.CellCenter(33) // strip 2
 	bx, by := tb.CellCenter(69) // strip 5
 	rss := tb.MeasureOnlineMulti([][2]float64{{ax, ay}, {bx, by}}, time.Hour)
-	est, err := l.LocateMultiple(rss, 2)
+	est, err := d.LocateMultiple(rss, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

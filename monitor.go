@@ -634,7 +634,7 @@ func (m *Monitor) performUpdate(tr *trace.Trace) error {
 	el := time.Since(t0)
 	sp.SetInt("references", int64(len(refs)))
 	sp.EndDur(el)
-	m.d.updLat[StageSample].Observe(el.Seconds())
+	m.d.meters.updLat[StageSample].Observe(el.Seconds())
 	if err != nil {
 		return err
 	}

@@ -7,7 +7,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"iupdater/internal/loc"
@@ -237,15 +236,11 @@ func WithReplicaShardedSearch(fanout int) ReplicaOption {
 // Construct with OpenReplica; end the life cycle with Close, or turn
 // the replica into a writer with Promote.
 type Replica struct {
+	serving
+
 	source string
 	cfg    replicaConfig
 	tailer *replica.Tailer
-
-	snap atomic.Pointer[Snapshot]
-
-	// lat mirrors Deployment.lat: the cumulative locate-latency
-	// histogram (seconds) of the replica's query paths.
-	lat *obs.Histogram
 
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -271,10 +266,10 @@ func OpenReplica(recordsURL string, opts ...ReplicaOption) (*Replica, error) {
 		cfg.wait = 25 * time.Second
 	}
 	r := &Replica{
-		source: recordsURL,
-		cfg:    cfg,
-		done:   make(chan struct{}),
-		lat:    obs.NewHistogram(obs.DefLatencyBuckets...),
+		serving: serving{lat: obs.NewHistogram(obs.DefLatencyBuckets...), tracer: cfg.tracer, site: cfg.site},
+		source:  recordsURL,
+		cfg:     cfg,
+		done:    make(chan struct{}),
 	}
 	t, err := replica.New(replica.Config{
 		URL:        recordsURL,
@@ -325,19 +320,6 @@ func (r *Replica) apply(version uint64, _ store.Kind, payload []byte) error {
 
 // Source returns the records URL the replica follows.
 func (r *Replica) Source() string { return r.source }
-
-// Snapshot returns the latest applied snapshot, nil until the first
-// record has been applied. The load is a single atomic pointer read.
-func (r *Replica) Snapshot() *Snapshot { return r.snap.Load() }
-
-// Version returns the latest applied snapshot version, 0 before the
-// first record.
-func (r *Replica) Version() uint64 {
-	if s := r.snap.Load(); s != nil {
-		return s.version
-	}
-	return 0
-}
 
 // LeaderVersion returns the newest version the leader has advertised,
 // 0 before the first successful poll.
@@ -414,57 +396,6 @@ func (r *Replica) WaitVersion(ctx context.Context, version uint64) (*Snapshot, e
 		case <-ticker.C:
 		}
 	}
-}
-
-// LocateLatency returns the replica's cumulative locate-latency
-// histogram (seconds), one observation per Locate/LocateCell call. Safe
-// for concurrent use; the serve layer exposes it on /metrics.
-func (r *Replica) LocateLatency() *obs.Histogram { return r.lat }
-
-// Locate estimates the target position against the replica's latest
-// applied snapshot. With WithReplicaTracer attached it records a
-// "locate" trace exactly as a leader Deployment does.
-func (r *Replica) Locate(rss []float64) (Position, error) {
-	s := r.snap.Load()
-	if s == nil {
-		return Position{}, errors.New("iupdater: replica has not applied a snapshot yet")
-	}
-	tr := r.cfg.tracer.Start("locate", r.cfg.site)
-	start := time.Now()
-	if tr == nil {
-		p, err := s.Locate(rss)
-		r.lat.Observe(time.Since(start).Seconds())
-		return p, err
-	}
-	sp := tr.StartSpan("omp.solve")
-	p, st, err := s.LocateWithStats(rss)
-	sp.SetStr("tier", st.Tier)
-	sp.SetInt("column_evals", int64(st.ColumnEvals))
-	sp.SetInt("shard_evals", int64(st.ShardEvals))
-	sp.SetInt("shards_visited", int64(st.ShardsVisited))
-	sp.SetInt("rounds", int64(st.Rounds))
-	sp.End()
-	el := time.Since(start)
-	r.lat.Observe(el.Seconds())
-	root := tr.Root()
-	root.SetInt("version", int64(st.Version))
-	root.SetBool("error", err != nil)
-	root.EndDur(el)
-	tr.Finish()
-	return p, err
-}
-
-// LocateCell estimates the strip-major grid cell index against the
-// replica's latest applied snapshot.
-func (r *Replica) LocateCell(rss []float64) (int, error) {
-	s := r.snap.Load()
-	if s == nil {
-		return 0, errors.New("iupdater: replica has not applied a snapshot yet")
-	}
-	start := time.Now()
-	cell, err := s.LocateCell(rss)
-	r.lat.Observe(time.Since(start).Seconds())
-	return cell, err
 }
 
 // geometry returns the leader geometry learned from the first applied

@@ -163,51 +163,3 @@ func (t *Testbed) CellCenter(cell int) (x, y float64) {
 	p := t.env.Grid.Center(cell)
 	return p.X, p.Y
 }
-
-// Survey is SurveyMatrix with the legacy row-slice return type.
-//
-// Deprecated: use SurveyMatrix.
-func (t *Testbed) Survey(at time.Duration, samplesPerLocation int) ([][]float64, LaborCost) {
-	m, labor := t.SurveyMatrix(at, samplesPerLocation)
-	return m.ToRows(), labor
-}
-
-// NoDecreaseScan is NoDecreaseMatrix with the legacy row-slice return
-// type.
-//
-// Deprecated: use NoDecreaseMatrix.
-func (t *Testbed) NoDecreaseScan(at time.Duration) [][]float64 {
-	return t.NoDecreaseMatrix(at).ToRows()
-}
-
-// KnownMask is Mask with the legacy row-slice return type.
-//
-// Deprecated: use Mask.
-func (t *Testbed) KnownMask() [][]bool {
-	return t.Mask().ToRows()
-}
-
-// MeasureColumns is ReferenceMatrix with the legacy row-slice return type
-// and without the labor accounting.
-//
-// Deprecated: use ReferenceMatrix.
-func (t *Testbed) MeasureColumns(at time.Duration, locations []int) [][]float64 {
-	m, _ := t.ReferenceMatrix(at, locations)
-	return m.ToRows()
-}
-
-// MeasureColumnsLabor is ReferenceMatrix with the legacy row-slice return
-// type.
-//
-// Deprecated: use ReferenceMatrix.
-func (t *Testbed) MeasureColumnsLabor(at time.Duration, locations []int) ([][]float64, LaborCost) {
-	m, labor := t.ReferenceMatrix(at, locations)
-	return m.ToRows(), labor
-}
-
-// TrueFingerprints is TrueMatrix with the legacy row-slice return type.
-//
-// Deprecated: use TrueMatrix.
-func (t *Testbed) TrueFingerprints(at time.Duration) [][]float64 {
-	return t.TrueMatrix(at).ToRows()
-}
