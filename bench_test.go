@@ -665,3 +665,18 @@ func BenchmarkLocateBatch(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkSurveyMatrix times the traditional full survey that builds a
+// site's day-0 database (what serve runs for every site before it
+// listens): 8 links × 96 office cells × 50 readings per location. Its
+// allocs/op budget is gated in scripts/bench.sh.
+func BenchmarkSurveyMatrix(b *testing.B) {
+	tb := iupdater.NewTestbed(iupdater.Office(), 1)
+	// The first survey extends the drift chains over its hour; later
+	// ones reuse them, so warm up to make every op the same.
+	tb.SurveyMatrix(0, testbed.TraditionalSamples)
+	b.ReportAllocs()
+	for b.Loop() {
+		tb.SurveyMatrix(0, testbed.TraditionalSamples)
+	}
+}

@@ -452,8 +452,8 @@ func (s *server) handleLocate(w http.ResponseWriter, r *http.Request) {
 
 type updateRequest struct {
 	// Days advances the simulated deployment clock and lets the testbed
-	// take the measurements (demo mode). Ignored when raw matrices are
-	// provided.
+	// take the measurements (demo mode); the clock may not pass
+	// maxClockDays. Ignored when raw matrices are provided.
 	Days float64 `json:"days,omitempty"`
 	// NoDecrease, Known and References are the raw update inputs
 	// (row-major: [link][location]) for callers with real measurements.
@@ -465,6 +465,22 @@ type updateRequest struct {
 type updateResponse struct {
 	Version    uint64 `json:"version"`
 	References []int  `json:"references"`
+}
+
+// maxClockDays is the horizon of a site's simulated clock. A
+// testbed-driven update that would take the clock past it is rejected:
+// the channel's drift chains memoize one value per simulated hour, so
+// the cost of a jump grows with its length, and a large enough one
+// overflows the conversion to a time.Duration.
+const maxClockDays = 3650
+
+// advanceClock returns clock moved forward by days, or false when that
+// would pass maxClockDays.
+func advanceClock(clock time.Duration, days float64) (time.Duration, bool) {
+	if days > maxClockDays-clock.Hours()/24 {
+		return 0, false
+	}
+	return clock + time.Duration(days*float64(24*time.Hour)), true
 }
 
 func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
@@ -516,13 +532,20 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		sp.SetInt("references", int64(len(refs)))
 		t0 := time.Now()
 		st.mu.Lock()
-		at = st.clock + time.Duration(req.Days*float64(24*time.Hour))
-		noDec = st.tb.NoDecreaseMatrix(at)
-		known = st.tb.Mask()
-		xr, _ = st.tb.ReferenceMatrix(at, refs)
+		var ok bool
+		if at, ok = advanceClock(st.clock, req.Days); ok {
+			noDec = st.tb.NoDecreaseMatrix(at)
+			known = st.tb.Mask()
+			xr, _ = st.tb.ReferenceMatrix(at, refs)
+		}
 		st.mu.Unlock()
 		el := time.Since(t0)
 		sp.EndDur(el)
+		if !ok {
+			writeError(w, http.StatusBadRequest,
+				fmt.Errorf("days %g would take the simulated clock past its %d-day horizon", req.Days, maxClockDays))
+			return
+		}
 		if h := d.UpdateStageLatency(iupdater.StageSample); h != nil {
 			h.Observe(el.Seconds())
 		}

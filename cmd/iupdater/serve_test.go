@@ -150,6 +150,72 @@ func TestServeUpdateAndSnapshot(t *testing.T) {
 	}
 }
 
+// TestServeUpdateDaysHorizon: a testbed-driven update that would take
+// the site's simulated clock past ten years, including one whose
+// conversion to a time.Duration overflows, answers 400 and leaves the
+// version and the clock unchanged.
+func TestServeUpdateDaysHorizon(t *testing.T) {
+	cfg := newOfficeSite(t, 1)
+	s := newServer(0)
+	if err := s.addSite("default", cfg); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.handler())
+	t.Cleanup(ts.Close)
+	clock := func() time.Duration {
+		st := payload(cfg.Payload)
+		st.mu.Lock()
+		defer st.mu.Unlock()
+		return st.clock
+	}
+
+	var up updateResponse
+	if code := postJSON(t, ts.URL+"/update", updateRequest{Days: 2}, &up); code != http.StatusOK {
+		t.Fatalf("update status %d", code)
+	}
+	for _, days := range []float64{1e300, 40000, 3648.5} {
+		if code := postJSON(t, ts.URL+"/update", updateRequest{Days: days}, nil); code != http.StatusBadRequest {
+			t.Fatalf("days %g: status %d, want 400", days, code)
+		}
+	}
+	if got := clock(); got != 48*time.Hour {
+		t.Errorf("clock after rejected updates = %v, want 48h", got)
+	}
+	var next updateResponse
+	if code := postJSON(t, ts.URL+"/update", updateRequest{Days: 1}, &next); code != http.StatusOK {
+		t.Fatalf("update status %d", code)
+	}
+	if next.Version != up.Version+1 {
+		t.Errorf("version after rejected updates = %d, want %d", next.Version, up.Version+1)
+	}
+	if got := clock(); got != 72*time.Hour {
+		t.Errorf("clock = %v, want 72h", got)
+	}
+}
+
+func TestAdvanceClockHorizon(t *testing.T) {
+	const day = 24 * time.Hour
+	tests := []struct {
+		clock time.Duration
+		days  float64
+		want  time.Duration
+		ok    bool
+	}{
+		{0, 1, day, true},
+		{0, maxClockDays, maxClockDays * day, true},
+		{0, maxClockDays + 1e-6, 0, false},
+		{2 * day, maxClockDays - 2, maxClockDays * day, true},
+		{2 * day, maxClockDays - 1.5, 0, false},
+		{0, 1e300, 0, false},
+	}
+	for _, tt := range tests {
+		got, ok := advanceClock(tt.clock, tt.days)
+		if got != tt.want || ok != tt.ok {
+			t.Errorf("advanceClock(%v, %g) = %v, %v; want %v, %v", tt.clock, tt.days, got, ok, tt.want, tt.ok)
+		}
+	}
+}
+
 func TestServeRawUpdate(t *testing.T) {
 	ts, tb := newTestServer(t)
 

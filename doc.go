@@ -203,7 +203,7 @@
 //	PUT    /sites/{name}                 create a site at runtime (JSON: env, seed, token, monitor)
 //	DELETE /sites/{name}                 remove a site from the fleet
 //	POST   /sites/{name}/locate          localization (single or batch)
-//	POST   /sites/{name}/update          database refresh (raw or testbed-driven)
+//	POST   /sites/{name}/update          database refresh (raw, or testbed-driven: days, clock <= 3650 days)
 //	GET    /sites/{name}/snapshot        the serving fingerprint database
 //	GET    /sites/{name}/drift           monitor counters (404 without -monitor)
 //	POST   /sites/{name}/rollback?version=N  republish a retained version
@@ -212,6 +212,11 @@
 //	GET    /traces                       recent + slow retained traces (see Tracing)
 //	GET    /traces/{id}                  one trace's full span tree
 //	GET    /healthz                      liveness (serving version + site count)
+//
+// A testbed-driven update ({"days": d}) advances the site's simulated
+// clock by d > 0 days. One that would take the clock past its horizon
+// of 3650 days (ten years) answers 400 and changes neither the version
+// nor the clock.
 //
 // A site created with a token requires it — as an Authorization:
 // Bearer header, compared in constant time — on every mutating route

@@ -90,8 +90,8 @@ func lrrWith(ws *mat.Workspace, x, xmic *mat.Dense, cfg LRRConfig) (*LRRResult, 
 	}
 	ws.Free(ata)
 
-	z := mat.New(r, n)  // returned
-	e := mat.New(m, n)  // returned
+	z := mat.New(r, n) // returned
+	e := mat.New(m, n) // returned
 	jm := ws.Dense(r, n)
 	y1 := ws.Dense(m, n) // multiplier for X = AZ + E
 	y2 := ws.Dense(r, n) // multiplier for Z = J

@@ -16,8 +16,13 @@ const NoTarget = -1
 // RSS readings at arbitrary times.
 //
 // A Channel is deterministic given (grid, params, seed): two channels
-// built with the same inputs produce identical samples. It is not safe
-// for concurrent use because the drift chains extend lazily.
+// built with the same inputs produce identical samples. Evaluation order
+// is part of that contract: every survey path (SampleColumnMean) must
+// equal a loop over Sample bit for bit, with each reading built from the
+// same operands grouped the same way and the readings summed in the same
+// order, so batching the work differently never moves a survey matrix.
+// A Channel is not safe for concurrent use: the drift chains extend
+// lazily and SampleColumnMean reuses per-link scratch.
 type Channel struct {
 	grid   geom.Grid
 	params Params
@@ -28,6 +33,16 @@ type Channel struct {
 	effects   [][]float64 // [link][cell] deterministic+static target loss (dB, positive)
 	affected  [][]bool    // [link][cell] whether entry needs the target present
 	driftProc *driftModel
+	terms     []columnTerm // SampleColumnMean's per-link scratch
+}
+
+// columnTerm holds the parts of one link's readings that are fixed for
+// the surveyed cell: CleanRSS, and TargetDrift's affected flag and
+// coupling weight.
+type columnTerm struct {
+	clean    float64
+	coupling float64
+	affected bool
 }
 
 // NewChannel builds the radio model for the given grid.
@@ -43,6 +58,7 @@ func NewChannel(grid geom.Grid, params Params, seed uint64) *Channel {
 		effects:   make([][]float64, m),
 		affected:  make([][]bool, m),
 		driftProc: newDriftModel(seed, m, params),
+		terms:     make([]columnTerm, m),
 	}
 	// The odd unit sits at an array edge so it degrades one link pair,
 	// matching the single heavy tail of the paper's Fig 9.
@@ -119,9 +135,18 @@ func (c *Channel) TargetDrift(i, j int, t float64) float64 {
 	if j == NoTarget || !c.affected[i][j] {
 		return 0
 	}
-	x := (float64(c.grid.PosInStrip(j)) + 0.5) / float64(c.grid.PerStrip)
-	coupling := math.Min(1, c.effects[i][j]/3)
-	return coupling * c.driftProc.spatialAt(i, x, t)
+	return c.coupling(i, j) * c.driftProc.spatialAt(i, c.stripPos(j), t)
+}
+
+// coupling is the weight of the spatial drift in link i's target effect
+// at cell j: strong effects couple fully, weak ones proportionally.
+func (c *Channel) coupling(i, j int) float64 {
+	return math.Min(1, c.effects[i][j]/3)
+}
+
+// stripPos returns cell j's normalized along-link position in (0, 1).
+func (c *Channel) stripPos(j int) float64 {
+	return (float64(c.grid.PosInStrip(j)) + 0.5) / float64(c.grid.PerStrip)
 }
 
 // TrueRSS returns the noise-free RSS of link i at time t with a target at
@@ -139,10 +164,66 @@ func (c *Channel) TrueRSS(i, j int, t float64) float64 {
 // deliberately quiet conditions, so the ambient-crowd process only
 // affects the online path (SampleAt).
 func (c *Channel) Sample(i, j int, t float64) float64 {
-	rss := c.TrueRSS(i, j, t)
-	rss += c.commonNoise(t)
-	rss += c.params.NoiseIdioSigmaDB * hashNormal(c.seed, 0x1d10+uint64(i), int64(t/0.5))
+	return c.reading(i, c.TrueRSS(i, j, t), c.commonNoise(t), int64(t/0.5))
+}
+
+// reading adds the short-term noise of one reading time to link i's
+// noise-free RSS and quantizes the sum: the common-mode value all links
+// share, then the link's white noise at beacon index idx.
+func (c *Channel) reading(i int, rss, common float64, idx int64) float64 {
+	rss += common
+	rss += c.params.NoiseIdioSigmaDB * hashNormal(c.seed, 0x1d10+uint64(i), idx)
 	return c.quantize(rss)
+}
+
+// SampleColumnMean writes to dst[i], for every link i, the average of n
+// consecutive readings spaced 0.5 s apart starting at time t with a
+// target at cell j (or NoTarget) — the paper's multi-sample averaging
+// during fingerprint collection (50 samples traditional, 5 for
+// iUpdater). dst must hold NumLinks values. n <= 0 takes one reading.
+//
+// Each dst[i] equals, bit for bit, the sum of Sample(i, j, t+0.5*k) over
+// k = 0..n-1 in that order, divided by n. The loop runs reading time
+// outer and link inner, so what all links share at one reading time (the
+// common-mode noise, the global drift, the white-noise index) is
+// computed once per time, and what is fixed for a link and cell once per
+// column.
+func (c *Channel) SampleColumnMean(j int, t float64, n int, dst []float64) {
+	if n <= 0 {
+		n = 1
+	}
+	dst = dst[:len(c.links)]
+	terms := c.terms
+	var s1, s2 float64
+	if j != NoTarget {
+		s1, s2 = harmonics(c.stripPos(j))
+	}
+	for i := range dst {
+		dst[i] = 0
+		terms[i] = columnTerm{clean: c.CleanRSS(i, j)}
+		if j != NoTarget && c.affected[i][j] {
+			terms[i].coupling = c.coupling(i, j)
+			terms[i].affected = true
+		}
+	}
+	for k := 0; k < n; k++ {
+		tk := t + 0.5*float64(k)
+		th := tk / 3600
+		g := c.driftProc.global.at(th)
+		common := c.commonNoise(tk)
+		idx := int64(tk / 0.5)
+		for i := range dst {
+			term := &terms[i]
+			var td float64 // TargetDrift
+			if term.affected {
+				td = term.coupling * c.driftProc.spatialHarmonics(i, th, s1, s2)
+			}
+			dst[i] += c.reading(i, term.clean+c.driftProc.linkAt(i, th, g)-td, common, idx)
+		}
+	}
+	for i := range dst {
+		dst[i] /= float64(n)
+	}
 }
 
 // effectAt evaluates the full static target effect of a target at point
@@ -223,20 +304,6 @@ func (c *Channel) SampleAtMulti(i int, pts []geom.Point, t float64) float64 {
 	rss += c.ambientNoise(i, t)
 	rss += c.params.NoiseIdioSigmaDB * hashNormal(c.seed, 0x1d10+uint64(i), int64(t/0.5))
 	return c.quantize(rss)
-}
-
-// SampleMean returns the average of n consecutive readings spaced 0.5 s
-// apart starting at time t — the paper's multi-sample averaging used
-// during fingerprint collection (50 samples traditional, 5 for iUpdater).
-func (c *Channel) SampleMean(i, j int, t float64, n int) float64 {
-	if n <= 0 {
-		n = 1
-	}
-	var s float64
-	for k := 0; k < n; k++ {
-		s += c.Sample(i, j, t+0.5*float64(k))
-	}
-	return s / float64(n)
 }
 
 // ambientNoise models unrelated people moving through the live testbed:

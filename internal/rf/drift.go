@@ -16,13 +16,16 @@ import "math"
 type driftChain struct {
 	seed   uint64
 	stream uint64
-	sigma  float64
-	tau    float64 // hours
+	// decay = exp(-1/tau) and innov = sigma·sqrt(1-decay²) are the
+	// one-hour OU transition constants.
+	decay  float64
+	innov  float64
 	values []float64
 }
 
 func newDriftChain(seed, stream uint64, sigma, tauHours float64) *driftChain {
-	c := &driftChain{seed: seed, stream: stream, sigma: sigma, tau: tauHours}
+	decay := math.Exp(-1 / tauHours)
+	c := &driftChain{seed: seed, stream: stream, decay: decay, innov: sigma * math.Sqrt(1-decay*decay)}
 	c.values = append(c.values, 0)
 	return c
 }
@@ -39,11 +42,9 @@ func (c *driftChain) at(tHours float64) float64 {
 }
 
 func (c *driftChain) extend(upto int) {
-	decay := math.Exp(-1 / c.tau)
-	innov := c.sigma * math.Sqrt(1-decay*decay)
 	for k := len(c.values); k <= upto; k++ {
 		prev := c.values[k-1]
-		c.values = append(c.values, prev*decay+innov*hashNormal(c.seed, c.stream, int64(k)))
+		c.values = append(c.values, prev*c.decay+c.innov*hashNormal(c.seed, c.stream, int64(k)))
 	}
 }
 
@@ -68,6 +69,7 @@ type driftModel struct {
 	bump  []*driftChain
 	bump2 []*driftChain
 	corr  float64
+	idio  float64 // sqrt(1-corr²)
 }
 
 func newDriftModel(seed uint64, numLinks int, p Params) *driftModel {
@@ -77,6 +79,7 @@ func newDriftModel(seed uint64, numLinks int, p Params) *driftModel {
 		bump:   make([]*driftChain, numLinks),
 		bump2:  make([]*driftChain, numLinks),
 		corr:   p.DriftCorr,
+		idio:   math.Sqrt(1 - p.DriftCorr*p.DriftCorr),
 	}
 	for i := range m.links {
 		// The idiosyncratic drift magnitude is heavy-tailed across links:
@@ -95,15 +98,30 @@ func newDriftModel(seed uint64, numLinks int, p Params) *driftModel {
 // at returns the drift of link i at time t in seconds.
 func (m *driftModel) at(link int, tSeconds float64) float64 {
 	th := tSeconds / 3600
-	g := m.global.at(th)
-	l := m.links[link].at(th)
-	return m.corr*g + math.Sqrt(1-m.corr*m.corr)*l
+	return m.linkAt(link, th, m.global.at(th))
+}
+
+// linkAt returns the drift of link i at time th (hours) given the global
+// chain's value g at th, which every link shares.
+func (m *driftModel) linkAt(link int, th, g float64) float64 {
+	return m.corr*g + m.idio*m.links[link].at(th)
 }
 
 // spatialAt returns the target-effect drift of link `link` for a target
 // at normalized along-link position x in [0, 1] at time t (seconds).
 func (m *driftModel) spatialAt(link int, x, tSeconds float64) float64 {
-	th := tSeconds / 3600
-	return m.bump[link].at(th)*math.Sin(math.Pi*x) +
-		0.5*m.bump2[link].at(th)*math.Sin(2*math.Pi*x)
+	s1, s2 := harmonics(x)
+	return m.spatialHarmonics(link, tSeconds/3600, s1, s2)
+}
+
+// harmonics returns the two spatial drift harmonics sin(pi*x) and
+// sin(2*pi*x) at normalized along-link position x.
+func harmonics(x float64) (s1, s2 float64) {
+	return math.Sin(math.Pi * x), math.Sin(2 * math.Pi * x)
+}
+
+// spatialHarmonics is spatialAt at time th (hours) for a position whose
+// harmonics are s1, s2.
+func (m *driftModel) spatialHarmonics(link int, th, s1, s2 float64) float64 {
+	return m.bump[link].at(th)*s1 + 0.5*m.bump2[link].at(th)*s2
 }

@@ -277,11 +277,13 @@ func TestSampleMeanReducesNoise(t *testing.T) {
 	// The 50-sample mean should be closer to clean+drift than a single
 	// sample on average across many windows.
 	var errSingle, errMean float64
+	col := make([]float64, c.NumLinks())
 	for k := 0; k < 50; k++ {
 		ts := float64(k) * 120
 		truth := clean + c.Drift(0, ts)
 		errSingle += math.Abs(c.Sample(0, NoTarget, ts) - truth)
-		errMean += math.Abs(c.SampleMean(0, NoTarget, ts, 50) - truth)
+		c.SampleColumnMean(NoTarget, ts, 50, col)
+		errMean += math.Abs(col[0] - truth)
 	}
 	if errMean >= errSingle {
 		t.Errorf("50-sample mean error %.3f not below single-sample %.3f", errMean/50, errSingle/50)

@@ -61,11 +61,13 @@ func (s *Surveyor) FullSurvey(t0 float64, samplesPerLoc int) (fingerprint.Matrix
 	ch := s.Channel
 	m, n := ch.NumLinks(), ch.NumCells()
 	x := mat.New(m, n)
+	col := make([]float64, m)
 	dwell := float64(samplesPerLoc) * SampleInterval
 	for j := 0; j < n; j++ {
 		tj := t0 + float64(j)*(MoveSeconds+dwell)
-		for i := 0; i < m; i++ {
-			x.Set(i, j, ch.SampleMean(i, j, tj, samplesPerLoc))
+		ch.SampleColumnMean(j, tj, samplesPerLoc, col)
+		for i, v := range col {
+			x.Set(i, j, v)
 		}
 	}
 	labor := Labor{
@@ -84,11 +86,13 @@ func (s *Surveyor) ReferenceSurvey(t0 float64, refs []int, samplesPerLoc int) (*
 	ch := s.Channel
 	m := ch.NumLinks()
 	xr := mat.New(m, len(refs))
+	col := make([]float64, m)
 	dwell := float64(samplesPerLoc) * SampleInterval
 	for k, j := range refs {
 		tk := t0 + float64(k)*(MoveSeconds+dwell)
-		for i := 0; i < m; i++ {
-			xr.Set(i, k, ch.SampleMean(i, j, tk, samplesPerLoc))
+		ch.SampleColumnMean(j, tk, samplesPerLoc, col)
+		for i, v := range col {
+			xr.Set(i, k, v)
 		}
 	}
 	labor := Labor{
@@ -116,9 +120,7 @@ func (s *Surveyor) NoDecreaseScan(t float64, samples int) *mat.Dense {
 	// One baseline reading per link, reused across that link's known
 	// entries: without a target the reading does not depend on j.
 	base := make([]float64, m)
-	for i := 0; i < m; i++ {
-		base[i] = ch.SampleMean(i, rf.NoTarget, t, samples)
-	}
+	ch.SampleColumnMean(rf.NoTarget, t, samples, base)
 	xb := mat.New(m, n)
 	for i := 0; i < m; i++ {
 		for j := 0; j < n; j++ {

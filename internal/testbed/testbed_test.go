@@ -6,6 +6,7 @@ import (
 
 	"iupdater/internal/geom"
 	"iupdater/internal/mat"
+	"iupdater/internal/rf"
 )
 
 func TestEnvironmentPresetsMatchPaper(t *testing.T) {
@@ -251,6 +252,79 @@ func TestMeasureOnline(t *testing.T) {
 	base := s.Channel.CleanRSS(strip, -1) + s.Channel.Drift(strip, 1000)
 	if y[strip] >= base {
 		t.Errorf("own link reading %v not below baseline %v", y[strip], base)
+	}
+}
+
+// sampleMean is the per-entry reference for the survey paths: n
+// readings of rf.Channel.Sample spaced SampleInterval apart, summed in
+// time order.
+func sampleMean(c *rf.Channel, i, j int, t float64, n int) float64 {
+	var s float64
+	for k := 0; k < n; k++ {
+		s += c.Sample(i, j, t+SampleInterval*float64(k))
+	}
+	return s / float64(n)
+}
+
+// requireBits fails unless got and want are bit-identical.
+func requireBits(t *testing.T, what string, i, j int, got, want float64) {
+	t.Helper()
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s (%d,%d) = %v, per-entry Sample loop %v", what, i, j, got, want)
+	}
+}
+
+// TestSurveysMatchSampleLoops checks every survey path against a
+// per-entry loop over rf.Channel.Sample on a separate channel, bit for
+// bit: the column sampler the surveys use must not move a single
+// fingerprint. Each preset also runs unquantized, where a rounding
+// difference inside a reading cannot hide under the 0.5 dB quantizer.
+func TestSurveysMatchSampleLoops(t *testing.T) {
+	var envs []Environment
+	for _, env := range Environments() {
+		raw := env
+		raw.Name += "-unquantized"
+		raw.Radio.QuantStepDB = 0
+		envs = append(envs, env, raw)
+	}
+	for _, env := range envs {
+		t.Run(env.Name, func(t *testing.T) {
+			s := NewSurveyor(env, 3)
+			ref := NewSurveyor(env, 3).Channel
+			m, n := env.NumLinks(), env.NumCells()
+			for _, at := range []float64{0, 45 * Day} {
+				for _, samples := range []int{IUpdaterSamples, TraditionalSamples} {
+					dwell := float64(samples) * SampleInterval
+					fp, _ := s.FullSurvey(at, samples)
+					for j := 0; j < n; j++ {
+						tj := at + float64(j)*(MoveSeconds+dwell)
+						for i := 0; i < m; i++ {
+							requireBits(t, "FullSurvey", i, j, fp.X.At(i, j), sampleMean(ref, i, j, tj, samples))
+						}
+					}
+					refs := []int{0, n / 3, n/2 + 1, n - 1}
+					xr, _ := s.ReferenceSurvey(at, refs, samples)
+					for k, j := range refs {
+						tk := at + float64(k)*(MoveSeconds+dwell)
+						for i := 0; i < m; i++ {
+							requireBits(t, "ReferenceSurvey", i, k, xr.At(i, k), sampleMean(ref, i, j, tk, samples))
+						}
+					}
+					mask := s.Mask()
+					xb := s.NoDecreaseScan(at, samples)
+					for i := 0; i < m; i++ {
+						base := sampleMean(ref, i, rf.NoTarget, at, samples)
+						for j := 0; j < n; j++ {
+							want := 0.0
+							if mask.Known(i, j) {
+								want = base
+							}
+							requireBits(t, "NoDecreaseScan", i, j, xb.At(i, j), want)
+						}
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -4,8 +4,9 @@
 #
 # Runs the two reconstruction benchmarks that gate solver performance
 # (Fig 16 constraint ablation and the initialization ablation), the
-# drift-monitor observe benchmark, the snapshot-store append+load and
-# delta-append benchmarks, the locate-index query benchmarks (10x
+# traditional full-survey benchmark, the drift-monitor observe
+# benchmark, the snapshot-store append+load and delta-append
+# benchmarks, the locate-index query benchmarks (10x
 # and 100x office-sized grids across search tiers, plus the KNN top-k
 # scan), and the fleet LRU query benchmarks (hot resident path and the
 # cold park/rehydrate cycle) with -benchmem, prints the result, and
@@ -24,6 +25,10 @@
 #	Fig16ConstraintAblation  <= 100000  (PR-2 kernel layer: ~16k measured;
 #	                                     the pre-kernel baseline was 1.94M)
 #	AblationInitialization   <=  20000  (~3.3k measured)
+#	SurveyMatrix             <=      8  (4 measured: the survey matrix's
+#	                                     header and data, its column
+#	                                     scratch and the public Matrix
+#	                                     copy)
 #	MonitorObserve           <=      2  (0 measured; also enforced by
 #	                                     TestMonitorObserveAllocBudget)
 #	MonitorObserveAttribution <=     2  (0 measured: observe + per-link
@@ -61,7 +66,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 benchtime="${BENCHTIME:-1x}"
-out="$(go test -run '^$' -bench 'Fig16ConstraintAblation|AblationInitialization|MonitorObserve|StoreAppendLoad|StoreAppendDelta|ReplicaApply|LocateLargeGrid|KNNNeighbors|LocateTraced|FleetHotQuery|FleetColdQuery' \
+out="$(go test -run '^$' -bench 'Fig16ConstraintAblation|AblationInitialization|SurveyMatrix|MonitorObserve|StoreAppendLoad|StoreAppendDelta|ReplicaApply|LocateLargeGrid|KNNNeighbors|LocateTraced|FleetHotQuery|FleetColdQuery' \
 	-benchtime "$benchtime" -benchmem "$@" . ./internal/store ./internal/loc)"
 echo "$out"
 
@@ -87,6 +92,7 @@ echo "$out" | awk '
 BEGIN {
 	budget["BenchmarkFig16ConstraintAblation"] = 100000
 	budget["BenchmarkAblationInitialization"] = 20000
+	budget["BenchmarkSurveyMatrix"] = 8
 	budget["BenchmarkMonitorObserve"] = 2
 	budget["BenchmarkMonitorObserveAttribution"] = 2
 	budget["BenchmarkStoreAppendLoad"] = 12
