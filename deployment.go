@@ -463,7 +463,8 @@ func UpdateStages() []string {
 // meters are a writer's cumulative instruments, behind one pointer so a
 // fleet site hands the same meters to every Deployment it
 // re-materializes after parking: locate latency, update-stage latency
-// and the publish count survive parking instead of resetting.
+// and the publish count survive parking instead of resetting, and so
+// does the monitor state in parked.
 type meters struct {
 	// lat is the locate-latency histogram (seconds) across every query
 	// path and snapshot version; the serve layer exposes it on /metrics.
@@ -476,6 +477,12 @@ type meters struct {
 	// publishes counts published snapshots (the initial install is not a
 	// publish).
 	publishes obs.Counter
+	// parked is the state of the monitor a fleet site released when it
+	// last parked: counters, calibrated floor and the snapshot version of
+	// the floor. A monitor built on a deployment sharing these meters
+	// resumes from it instead of reading the store's state blob. nil
+	// until the site first parks a monitor.
+	parked atomic.Pointer[monitorState]
 }
 
 func newMeters() *meters {

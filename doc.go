@@ -143,7 +143,13 @@
 // and a Monitor constructed over a stored Deployment resumes its
 // previous life: counters continue and the calibrated detector floor is
 // re-installed (when the snapshot version still matches) instead of
-// burning a fresh calibration window.
+// burning a fresh calibration window. The monitor writes that state
+// blob durably when calibration completes, when an auto-update
+// finishes, on Sync and on Close — never on a steady-state Observe, and
+// never when a fleet parks the site (below). A crash therefore loses at
+// most a site's counters since the last of those writes, whether the
+// site was resident or parked; the calibrated floor was written the
+// moment it was learned and is never lost.
 //
 // History is append-only and versions strictly increase, which makes
 // rollback an ordinary publish: Deployment.Rollback(v) loads a retained
@@ -194,7 +200,12 @@
 // the site, not to the materialized Deployment: every re-materialized
 // Deployment continues them, so parking never resets what they measured
 // (a /metrics scrape simply has no sample for a site while it is
-// parked).
+// parked). Parking writes nothing to disk: the monitor's counters,
+// calibrated floor and the floor's snapshot version stay in memory with
+// the site, and the monitor its next rehydration builds resumes from
+// them without reading the store, so a cold query only reads. Fleet
+// Close and RemoveSite write each parked site's monitor state to its
+// store once, and Close reports a failed write by site name.
 //
 // cmd/iupdater serve exposes the fleet over HTTP:
 //

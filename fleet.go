@@ -163,11 +163,12 @@ func (s *Site) touch() {
 // rehydrate re-materializes a parked site: the latest snapshot is
 // loaded from the store through the usual delta-chain resolution, the
 // locate index rebuilt under the exact config the site was added with,
-// and the monitor (if a factory was provided) reconstructed — it
-// restores its calibrated baseline from the store's state blob, so
-// drift tracking survives parking the same way it survives a restart.
-// The new deployment takes over the site's meters, so its locate,
-// update-stage and publish counters continue rather than reset.
+// and the monitor (if a factory was provided) reconstructed. The new
+// deployment takes over the site's meters, so its locate, update-stage
+// and publish counters continue rather than reset, and its monitor
+// resumes the counters and calibrated floor park kept there — drift
+// tracking survives parking as it survives a restart, without the state
+// blob ever being read.
 func (s *Site) rehydrate() (*Deployment, *Monitor, error) {
 	s.hydMu.Lock()
 	if l := s.live.Load(); l != nil {
@@ -212,10 +213,11 @@ func (s *Site) rehydrate() (*Deployment, *Monitor, error) {
 	return l.dep, l.mon, nil
 }
 
-// park releases the site's materialized half: the monitor is closed
-// first (synchronously waiting out in-flight auto-updates and
-// persisting its calibrated baseline to the store), then the live
-// pointer swaps to nil. The store stays open — that is the point —
+// park releases the site's materialized half without touching the
+// disk: the monitor is stopped first (synchronously waiting out an
+// in-flight auto-update) and its state — counters, calibrated floor and
+// the floor's snapshot version — kept on the site's meters, then the
+// live pointer swaps to nil. The store stays open — that is the point —
 // and queries pinned to the old snapshot finish against it untouched.
 // Reports whether anything was released.
 func (s *Site) park() bool {
@@ -229,15 +231,17 @@ func (s *Site) park() bool {
 		return false
 	}
 	if l.mon != nil {
-		l.mon.Close()
+		ms := l.mon.park()
+		s.meters.parked.Store(&ms)
 	}
 	s.live.Store(nil)
 	return true
 }
 
 // shutdown is the terminal half of RemoveSite and Close: monitor
-// first (waiting out in-flight auto-updates, persisting final state),
-// then replica tailer, then store.
+// first (waiting out in-flight auto-updates), then its final state —
+// the live monitor's, or what park kept in memory — written to the
+// store once, then replica tailer, then store.
 func (s *Site) shutdown() error {
 	s.hydMu.Lock()
 	defer s.hydMu.Unlock()
@@ -247,8 +251,18 @@ func (s *Site) shutdown() error {
 	s.removed = true
 	l := s.live.Load()
 	s.live.Store(nil)
+	var final *monitorState
 	if l != nil && l.mon != nil {
-		l.mon.Close()
+		ms := l.mon.park()
+		final = &ms
+	} else if l == nil && s.meters != nil {
+		final = s.meters.parked.Load()
+	}
+	var errs []error
+	if final != nil && s.store != nil {
+		if err := saveMonitorState(s.store, *final); err != nil {
+			errs = append(errs, err)
+		}
 	}
 	var st *Store
 	if s.rep != nil {
@@ -261,8 +275,11 @@ func (s *Site) shutdown() error {
 	}
 	if st != nil {
 		if err := st.Close(); err != nil {
-			return fmt.Errorf("site %s: %w", s.name, err)
+			errs = append(errs, err)
 		}
+	}
+	if len(errs) > 0 {
+		return fmt.Errorf("site %s: %w", s.name, errors.Join(errs...))
 	}
 	return nil
 }
@@ -414,10 +431,12 @@ type SiteConfig struct {
 	Monitor *Monitor
 	// MonitorFactory, when set, is how the fleet rebuilds the monitor
 	// after a parked site rehydrates (a Monitor is bound to one
-	// Deployment, so parking must close it and rehydration needs a
-	// fresh one). When Monitor is nil the factory also builds the
-	// initial monitor. A site with a Monitor but no factory is never
-	// parked — the fleet could not restore its monitoring.
+	// Deployment, so parking must stop it and rehydration needs a
+	// fresh one; a NewMonitor on the deployment it is handed resumes
+	// the counters and calibrated floor the parked monitor left). When
+	// Monitor is nil the factory also builds the initial monitor. A
+	// site with a Monitor but no factory is never parked — the fleet
+	// could not restore its monitoring.
 	MonitorFactory func(*Deployment) (*Monitor, error)
 	// Payload is an opaque value the caller keeps with the site (serve
 	// mode keeps its testbed, simulated clock and bearer token there),
@@ -487,9 +506,11 @@ func (f *Fleet) AddSite(name string, cfg SiteConfig) (*Site, error) {
 }
 
 // RemoveSite unregisters a site and shuts it down: monitor first
-// (waiting out in-flight auto-updates), then replica tailer, then
-// store. In-flight queries pinned to the site's last snapshot finish
-// against RAM; a later Hydrate on a retained *Site handle fails.
+// (waiting out in-flight auto-updates, then writing its final state —
+// for a parked site, the state park kept in memory), then replica
+// tailer, then store. In-flight queries pinned to the site's last
+// snapshot finish against RAM; a later Hydrate on a retained *Site
+// handle fails.
 func (f *Fleet) RemoveSite(name string) error {
 	f.mu.Lock()
 	if f.closed {
@@ -660,11 +681,14 @@ func (f *Fleet) Summaries() []SiteSummary {
 }
 
 // Close shuts every site down: monitors first (waiting out in-flight
-// auto-updates, persisting their final state), then stores. One site's
-// failure never stops the remaining sites from closing; the failures
-// are combined with errors.Join (each wrapped with its site name), so
-// callers can still reach the underlying values with errors.Is and
-// errors.As. A second Close is a no-op, and Add after Close fails.
+// auto-updates), then each site's final monitor state written to its
+// store once — a resident site's from its live monitor, a parked
+// site's from the memory park kept it in — then stores. One site's
+// failure, whether writing that state or closing the store, never stops
+// the remaining sites from closing; the failures are combined with
+// errors.Join (each wrapped with its site name), so callers can still
+// reach the underlying values with errors.Is and errors.As. A second
+// Close is a no-op, and Add after Close fails.
 func (f *Fleet) Close() error {
 	f.mu.Lock()
 	if f.closed {

@@ -10,7 +10,8 @@ import (
 // benchFleetSite builds one durable site over an in-memory store
 // backend with a smooth synthetic fingerprint map, mirroring the
 // root-package fleet tests but from the external bench package.
-func benchFleetSite(b *testing.B, f *iupdater.Fleet, name string, seed int) *iupdater.Site {
+// monitor, when non-nil, is the site's MonitorFactory.
+func benchFleetSite(b *testing.B, f *iupdater.Fleet, name string, seed int, monitor func(*iupdater.Deployment) (*iupdater.Monitor, error)) *iupdater.Site {
 	b.Helper()
 	geo := iupdater.Geometry{WidthM: 8, HeightM: 4, Links: 4, PerStrip: 24}
 	rows := make([][]float64, geo.Links)
@@ -32,7 +33,7 @@ func benchFleetSite(b *testing.B, f *iupdater.Fleet, name string, seed int) *iup
 	if err != nil {
 		b.Fatal(err)
 	}
-	site, err := f.AddSite(name, iupdater.SiteConfig{Deployment: d})
+	site, err := f.AddSite(name, iupdater.SiteConfig{Deployment: d, MonitorFactory: monitor})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -49,7 +50,7 @@ func BenchmarkFleetHotQuery(b *testing.B) {
 	defer f.Close()
 	var hot *iupdater.Site
 	for i := 0; i < 4; i++ {
-		s := benchFleetSite(b, f, fmt.Sprintf("site-%d", i), i+1)
+		s := benchFleetSite(b, f, fmt.Sprintf("site-%d", i), i+1, nil)
 		if i == 0 {
 			hot = s
 		}
@@ -92,8 +93,8 @@ func BenchmarkFleetColdQuery(b *testing.B) {
 	f := iupdater.NewFleet(iupdater.WithResidentLimit(1))
 	defer f.Close()
 	pair := []*iupdater.Site{
-		benchFleetSite(b, f, "even", 1),
-		benchFleetSite(b, f, "odd", 2),
+		benchFleetSite(b, f, "even", 1, nil),
+		benchFleetSite(b, f, "odd", 2, nil),
 	}
 	probe := []float64{-41, -43.5, -47, -52}
 	b.ReportAllocs()
@@ -104,6 +105,42 @@ func BenchmarkFleetColdQuery(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := d.Snapshot().Locate(probe); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := f.Stats(); st.Rehydrations == 0 {
+		b.Fatal("cold bench never rehydrated")
+	}
+}
+
+// BenchmarkFleetColdQueryMonitored is BenchmarkFleetColdQuery with a
+// drift monitor on each site and one Observe per op, so each op also
+// parks the other site's monitor and rebuilds this one's: the cycle a
+// cold query pays in serve mode with -monitor. Parking keeps the
+// monitor's state in memory, so no op reads or writes a state blob.
+func BenchmarkFleetColdQueryMonitored(b *testing.B) {
+	f := iupdater.NewFleet(iupdater.WithResidentLimit(1))
+	defer f.Close()
+	monitor := func(d *iupdater.Deployment) (*iupdater.Monitor, error) {
+		return iupdater.NewMonitor(d, nil)
+	}
+	pair := []*iupdater.Site{
+		benchFleetSite(b, f, "even", 1, monitor),
+		benchFleetSite(b, f, "odd", 2, monitor),
+	}
+	probe := []float64{-41, -43.5, -47, -52}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d, mon, err := pair[i%2].Hydrate()
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := d.Snapshot().Locate(probe); err != nil {
+			b.Fatal(err)
+		}
+		if err := mon.Observe(probe); err != nil {
 			b.Fatal(err)
 		}
 	}

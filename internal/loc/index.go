@@ -139,8 +139,6 @@ type Index struct {
 	queries    atomic.Uint64
 	colEvals   atomic.Uint64
 	shardEvals atomic.Uint64
-
-	pool sync.Pool // *queryScratch
 }
 
 // NewIndex builds an index over the columns of x. stripLen is the
@@ -310,6 +308,13 @@ func (ix *Index) colMeans() []float64 { return ix.colMean }
 // order and keys, the top-k heap, and the OMP pursuit buffers. All
 // slices grow to the index's dimensions on first use and are then
 // reused, so steady-state queries perform zero allocations.
+//
+// One pool serves every index. None of the buffers grows with the
+// column count, so sharing costs nothing, while a pool inside each
+// Index would pin the whole index: the runtime keeps each pool used
+// since the last GC reachable until the GC after next, so a fleet
+// parking and rehydrating sites would hold each dropped index that
+// long.
 type queryScratch struct {
 	order []int     // shard visit order
 	key   []float64 // shard routing key, parallel to order
@@ -327,15 +332,17 @@ type queryScratch struct {
 	w      []float64 // least-squares weights
 }
 
+var scratchPool sync.Pool // *queryScratch
+
 func (ix *Index) getScratch() *queryScratch {
-	s, _ := ix.pool.Get().(*queryScratch)
+	s, _ := scratchPool.Get().(*queryScratch)
 	if s == nil {
 		s = new(queryScratch)
 	}
 	return s
 }
 
-func (ix *Index) putScratch(s *queryScratch) { ix.pool.Put(s) }
+func (ix *Index) putScratch(s *queryScratch) { scratchPool.Put(s) }
 
 // growF returns v with length n, reusing its backing array when it
 // fits.

@@ -3,8 +3,10 @@ package loc
 import (
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"iupdater/internal/geom"
 	"iupdater/internal/mat"
@@ -279,6 +281,27 @@ func TestQueryPathAllocFree(t *testing.T) {
 		if allocs := testing.AllocsPerRun(200, c.fn); allocs > 0 {
 			t.Errorf("%s: %.1f allocs/op, want 0", c.name, allocs)
 		}
+	}
+}
+
+// TestQueriedIndexIsCollectable: an index nothing references any more
+// is freed by the first GC after its last query. The query scratch pool
+// must not pin it: the runtime keeps each pool used since the last GC
+// reachable until the GC after next, so a pool inside the index held
+// every index a parking fleet dropped that long.
+func TestQueriedIndexIsCollectable(t *testing.T) {
+	freed := make(chan struct{})
+	func() {
+		x, g := syntheticFingerprints(12, 5)
+		ix := NewIndex(x, g.PerStrip, IndexConfig{})
+		ix.NearestRaw(x.Col(3))
+		runtime.SetFinalizer(ix, func(*Index) { close(freed) })
+	}()
+	runtime.GC()
+	select {
+	case <-freed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a dropped index survived a GC after its last query")
 	}
 }
 

@@ -185,9 +185,10 @@ func (c *Channel) reading(i int, rss, common float64, idx int64) float64 {
 // Each dst[i] equals, bit for bit, the sum of Sample(i, j, t+0.5*k) over
 // k = 0..n-1 in that order, divided by n. The loop runs reading time
 // outer and link inner, so what all links share at one reading time (the
-// common-mode noise, the global drift, the white-noise index) is
+// common-mode noise, the global drift, the mixed white-noise index) is
 // computed once per time, and what is fixed for a link and cell once per
-// column.
+// column. The common-mode noise also reuses its random draws across
+// reading times (see commonMemo).
 func (c *Channel) SampleColumnMean(j int, t float64, n int, dst []float64) {
 	if n <= 0 {
 		n = 1
@@ -206,19 +207,24 @@ func (c *Channel) SampleColumnMean(j int, t float64, n int, dst []float64) {
 			terms[i].affected = true
 		}
 	}
+	var memo commonMemo
 	for k := 0; k < n; k++ {
 		tk := t + 0.5*float64(k)
 		th := tk / 3600
 		g := c.driftProc.global.at(th)
-		common := c.commonNoise(tk)
-		idx := int64(tk / 0.5)
+		common := memo.commonNoise(c, tk)
+		mixed := splitmix64(uint64(int64(tk / 0.5)))
 		for i := range dst {
 			term := &terms[i]
 			var td float64 // TargetDrift
 			if term.affected {
 				td = term.coupling * c.driftProc.spatialHarmonics(i, th, s1, s2)
 			}
-			dst[i] += c.reading(i, term.clean+c.driftProc.linkAt(i, th, g)-td, common, idx)
+			// reading, with the white-noise index mixed once per time.
+			rss := term.clean + c.driftProc.linkAt(i, th, g) - td
+			rss += common
+			rss += c.params.NoiseIdioSigmaDB * hashNormalMixed(c.seed, 0x1d10+uint64(i), mixed)
+			dst[i] += c.quantize(rss)
 		}
 	}
 	for i := range dst {
@@ -337,6 +343,53 @@ func (c *Channel) commonNoise(t float64) float64 {
 		// Smooth on/off envelope inside the window.
 		u := t/c.params.BurstWindowS - float64(w)
 		v -= depth * math.Sin(math.Pi*u) * math.Sin(math.Pi*u)
+	}
+	return v
+}
+
+// commonMemo holds the random draws commonNoise makes that consecutive
+// reading times of one survey column share: the value-noise lattice pair
+// around the current lattice index (the noise scale spans several 0.5 s
+// readings) and the current burst window's two draws.
+type commonMemo struct {
+	k, w       int64 // lattice index of a (b is at k+1); burst window
+	a, b       float64
+	burst      bool
+	depth      float64
+	kSet, wSet bool
+}
+
+// commonNoise equals c.commonNoise(t) bit for bit — the same operands,
+// grouped the same way — but draws each lattice value and burst window
+// once for a run of non-decreasing times.
+func (m *commonMemo) commonNoise(c *Channel, t float64) float64 {
+	const stream = 0xc0113c7 // commonNoise's value-noise stream
+	x := t / c.params.NoiseCommonScaleS
+	k := int64(math.Floor(x))
+	if !m.kSet || k != m.k {
+		if m.kSet && k == m.k+1 {
+			m.a = m.b
+		} else {
+			m.a = hashNormal(c.seed, stream, k)
+		}
+		m.b = hashNormal(c.seed, stream, k+1)
+		m.k, m.kSet = k, true
+	}
+	u := x - float64(k)
+	ws := u * u * (3 - 2*u) // valueNoise's smoothstep and lerp
+	v := c.params.NoiseCommonSigmaDB * ((m.a*(1-ws) + m.b*ws) * varNormValueNoise)
+
+	w := int64(math.Floor(t / c.params.BurstWindowS))
+	if !m.wSet || w != m.w {
+		m.burst = hashUniform(c.seed, 0xb13575, w) < c.params.BurstProb
+		if m.burst {
+			m.depth = c.params.BurstDepthDB * hashUniform(c.seed, 0xd3b7, w)
+		}
+		m.w, m.wSet = w, true
+	}
+	if m.burst {
+		u := t/c.params.BurstWindowS - float64(w)
+		v -= m.depth * math.Sin(math.Pi*u) * math.Sin(math.Pi*u)
 	}
 	return v
 }

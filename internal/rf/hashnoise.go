@@ -22,6 +22,18 @@ func hashUniform(seed, stream uint64, index int64) float64 {
 	return (float64(h>>11) + 0.5) / (1 << 53)
 }
 
+// hashNormalMixed is hashNormal with the index already mixed:
+// hashNormalMixed(seed, stream, splitmix64(uint64(index))) equals
+// hashNormal(seed, stream, index) bit for bit. A caller drawing many
+// streams at one index mixes it once.
+func hashNormalMixed(seed, stream, mixed uint64) float64 {
+	h1 := splitmix64(seed ^ splitmix64(stream^mixed))
+	h2 := splitmix64(seed ^ splitmix64(stream^0x6a09e667f3bcc909^mixed))
+	u1 := (float64(h1>>11) + 0.5) / (1 << 53)
+	u2 := (float64(h2>>11) + 0.5) / (1 << 53)
+	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
+}
+
 // hashNormal maps (seed, stream, index) to a standard normal value using
 // the Box-Muller transform on two decorrelated uniforms.
 func hashNormal(seed, stream uint64, index int64) float64 {

@@ -293,6 +293,14 @@ type MonitorStats struct {
 // state (the monitor serializes internally; the residual scan is O(M*N)
 // against pre-centered columns). Construct with NewMonitor; call Close
 // when done to wait out any in-flight update.
+//
+// With a durable store attached, the monitor persists its counters and
+// calibrated floor when calibration completes, when an auto-update
+// finishes, on Sync and on Close, and NewMonitor resumes from them. A
+// Fleet parking the site writes nothing: it keeps the state in memory
+// for the site's next monitor, and writes it once on Fleet.Close or
+// RemoveSite. A crash loses at most the counters since the last write,
+// never the calibrated floor.
 type Monitor struct {
 	d       *Deployment
 	sampler ReferenceSampler
@@ -396,38 +404,65 @@ func NewMonitor(d *Deployment, sampler ReferenceSampler, opts ...MonitorOption) 
 		attr:    drift.NewAttribution(d.geo.Links, 0),
 	}
 	m.bd, _ = cfg.detector.(baselineDetector)
-	if st := d.cfg.store; st != nil {
-		// A restarted monitor resumes its previous life: cumulative
-		// counters continue, and the calibrated floor is re-installed on
-		// the first Observe if the snapshot it was learned on is still
-		// the one being served. A missing or corrupt state blob simply
-		// starts fresh.
-		if blob, ok, err := st.st.LoadState("monitor"); err == nil && ok {
-			var ms monitorState
-			if json.Unmarshal(blob, &ms) == nil {
-				m.stats.Queries = ms.Queries
-				m.stats.Detections = ms.Detections
-				m.stats.UpdatesTriggered = ms.UpdatesTriggered
-				m.stats.UpdatesCompleted = ms.UpdatesCompleted
-				m.stats.UpdateErrors = ms.UpdateErrors
-				m.stats.Suppressed = ms.Suppressed
-				m.stats.LastError = ms.LastError
-				m.restored = ms
-				m.restoredOK = ms.BaselineOK && m.bd != nil
-			}
-		}
+	// A restarted or rehydrated monitor resumes its previous life:
+	// cumulative counters continue, and the calibrated floor is
+	// re-installed on the first Observe if the snapshot it was learned
+	// on is still the one being served.
+	if ms, ok := d.monitorResumeState(); ok {
+		m.stats.Queries = ms.Queries
+		m.stats.Detections = ms.Detections
+		m.stats.UpdatesTriggered = ms.UpdatesTriggered
+		m.stats.UpdatesCompleted = ms.UpdatesCompleted
+		m.stats.UpdateErrors = ms.UpdateErrors
+		m.stats.Suppressed = ms.Suppressed
+		m.stats.LastError = ms.LastError
+		m.restored = ms
+		m.restoredOK = ms.BaselineOK && m.bd != nil
 	}
 	return m, nil
 }
 
-// saveStateLocked persists the monitor's counters and calibrated floor
-// to the deployment store, best-effort (a failed save only costs resume
-// fidelity, never a detection). m.mu must be held.
-func (m *Monitor) saveStateLocked() {
-	st := m.d.cfg.store
-	if st == nil {
-		return
+// monitorResumeState returns the state a new monitor on d resumes from:
+// what the fleet site d belongs to kept in memory when it last parked,
+// else the store's "monitor" blob. A deployment without either — or
+// with a missing or corrupt blob — reports false, and the monitor
+// starts fresh.
+func (d *Deployment) monitorResumeState() (monitorState, bool) {
+	if ms := d.meters.parked.Load(); ms != nil {
+		return *ms, true
 	}
+	st := d.cfg.store
+	if st == nil {
+		return monitorState{}, false
+	}
+	blob, ok, err := st.st.LoadState("monitor")
+	if err != nil || !ok {
+		return monitorState{}, false
+	}
+	var ms monitorState
+	if json.Unmarshal(blob, &ms) != nil {
+		return monitorState{}, false
+	}
+	return ms, true
+}
+
+// saveMonitorState writes ms as st's "monitor" state blob, durably
+// (temp file, fsync, rename).
+func saveMonitorState(st *Store, ms monitorState) error {
+	blob, err := json.Marshal(ms)
+	if err != nil {
+		return err
+	}
+	return st.SaveState("monitor", blob)
+}
+
+// stateLocked returns the monitor's persistent state: its counters, and
+// the detector's calibrated floor with the snapshot version it belongs
+// to. Until the first Observe binds a snapshot, the floor and version
+// are the ones the monitor resumed from, so a monitor closed or parked
+// before it observed anything hands its floor on instead of erasing
+// it. m.mu must be held.
+func (m *Monitor) stateLocked() monitorState {
 	ms := monitorState{
 		SnapshotVersion:  m.resVersion,
 		Queries:          m.stats.Queries,
@@ -438,14 +473,23 @@ func (m *Monitor) saveStateLocked() {
 		Suppressed:       m.stats.Suppressed,
 		LastError:        m.stats.LastError,
 	}
-	if m.bd != nil {
+	switch {
+	case m.res == nil:
+		ms.SnapshotVersion = m.restored.SnapshotVersion
+		ms.BaselineMu, ms.BaselineSigma, ms.BaselineOK = m.restored.BaselineMu, m.restored.BaselineSigma, m.restored.BaselineOK
+	case m.bd != nil:
 		ms.BaselineMu, ms.BaselineSigma, ms.BaselineOK = m.bd.Baseline()
 	}
-	blob, err := json.Marshal(ms)
-	if err != nil {
-		return
+	return ms
+}
+
+// saveStateLocked persists the monitor's state to the deployment store,
+// best-effort (a failed save only costs resume fidelity, never a
+// detection). m.mu must be held.
+func (m *Monitor) saveStateLocked() {
+	if st := m.d.cfg.store; st != nil {
+		_ = saveMonitorState(st, m.stateLocked())
 	}
-	_ = st.st.SaveState("monitor", blob)
 }
 
 // Observe feeds one live online RSS vector (one reading per link) to the
@@ -706,11 +750,23 @@ func (m *Monitor) TopLinksInto(links []int, errs []float64) int {
 // With a durable store attached, the final counters and calibrated
 // floor are persisted so the next process's monitor resumes here.
 func (m *Monitor) Close() {
+	ms := m.park()
+	if st := m.d.cfg.store; st != nil {
+		// Best-effort, as every monitor save: Close reports no error.
+		_ = saveMonitorState(st, ms)
+	}
+}
+
+// park stops the monitor as Close does, but writes nothing: it returns
+// the state Close persists, which a parked fleet site keeps in memory
+// for the monitor its next rehydration builds. Nothing can change the
+// state afterwards: Observe fails and no update is left in flight.
+func (m *Monitor) park() monitorState {
 	m.mu.Lock()
 	m.closed = true
 	m.mu.Unlock()
 	m.wg.Wait()
 	m.mu.Lock()
-	m.saveStateLocked()
-	m.mu.Unlock()
+	defer m.mu.Unlock()
+	return m.stateLocked()
 }

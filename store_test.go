@@ -427,6 +427,86 @@ func TestMonitorResumeAfterRestart(t *testing.T) {
 	}
 }
 
+// TestMonitorCloseBeforeObserveKeepsFloor: a monitor binds a snapshot
+// on its first Observe, so one closed before observing anything — a
+// restart followed by a shutdown with no query in between — must write
+// back the floor it resumed from instead of erasing it. After a second
+// restart the monitor still detects drift inside the calibration
+// window.
+func TestMonitorCloseBeforeObserveKeepsFloor(t *testing.T) {
+	b := NewMemoryBackend()
+	st, err := OpenStore("", WithBackend(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tb := NewTestbed(Office(), 3)
+	d, _, err := tb.Deploy(0, 20, WithStore(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const calibration = 60
+	newMonitor := func(d *Deployment) *Monitor {
+		t.Helper()
+		mon, err := NewMonitor(d, nil, WithDriftDetector(NewMeanShiftDetector(calibration, 16, 3)), WithDriftHysteresis(2))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return mon
+	}
+	restart := func() (*Store, *Deployment) {
+		t.Helper()
+		st, err := OpenStore("", WithBackend(b))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := OpenDeployment(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st, d
+	}
+	mon := newMonitor(d)
+	const served = 150
+	for q := 0; q < served; q++ {
+		cx, cy := tb.CellCenter((q * 7) % tb.NumCells())
+		if err := mon.Observe(tb.MeasureOnline(cx, cy, time.Hour+time.Duration(q)*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mon.Close()
+	st.Close()
+
+	// First restart: closed before any Observe.
+	st2, d2 := restart()
+	newMonitor(d2).Close()
+	st2.Close()
+
+	// Second restart: the floor calibrated before the first one is
+	// still installed, so the drift that happened meanwhile shows up
+	// well inside the calibration window.
+	st3, d3 := restart()
+	defer st3.Close()
+	mon3 := newMonitor(d3)
+	defer mon3.Close()
+	if s := mon3.Stats(); s.Queries != served {
+		t.Fatalf("monitor resumed at %d queries, want %d", s.Queries, served)
+	}
+	detectedAt := -1
+	for q := 0; q < 2*calibration; q++ {
+		cx, cy := tb.CellCenter((q * 5) % tb.NumCells())
+		if err := mon3.Observe(tb.MeasureOnline(cx, cy, 45*day+time.Duration(q)*time.Second)); err != nil {
+			t.Fatal(err)
+		}
+		if mon3.Stats().Detections > 0 {
+			detectedAt = q
+			break
+		}
+	}
+	if detectedAt < 0 || detectedAt >= calibration {
+		t.Fatalf("drift detected at query %d, want within the %d-query calibration window: closing before the first Observe erased the floor", detectedAt, calibration)
+	}
+}
+
 // TestMonitorStateIgnoredAfterDatabaseChange: a persisted floor from
 // version N must not be installed when the store has moved on to N+1 —
 // the residual baseline belongs to a specific snapshot.
