@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -731,5 +732,39 @@ func TestServeSnapshotAndSummaryExposeRecords(t *testing.T) {
 	}
 	if memSnap.Record != nil {
 		t.Errorf("in-memory snapshot reports a record: %+v", memSnap.Record)
+	}
+}
+
+// TestServeLocateRejectsImplausibleReading: a reading whose square
+// overflows used to panic the monitor's residual scan and cut the
+// connection. It is a client error now, and the monitor never sees it.
+func TestServeLocateRejectsImplausibleReading(t *testing.T) {
+	s := newServer(0)
+	if err := s.addSite("default", withMonitor(newOfficeSite(t, 1))); err != nil {
+		t.Fatal(err)
+	}
+	defer s.fleet.Close()
+	srv := httptest.NewServer(s.handler())
+	defer srv.Close()
+	for _, body := range []string{
+		`{"rss":[-60,-61,1e160,-63,-64,-65,-66,-67]}`,
+		`{"batch":[[-60,-61,-62,-63,-64,-65,-66,-67],[-60,-61,-62,-63,-64,-65,-66,1e200]]}`,
+	} {
+		resp, err := http.Post(srv.URL+"/locate", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity || !strings.Contains(string(msg), "plausible range") {
+			t.Fatalf("%s: status %d %s, want 422 naming the plausible range", body, resp.StatusCode, msg)
+		}
+	}
+	var dr driftResponse
+	if code := getJSON(t, srv.URL+"/drift", &dr); code != http.StatusOK {
+		t.Fatalf("/drift status %d", code)
+	}
+	if dr.Queries != 0 {
+		t.Fatalf("monitor observed %d queries, want 0: rejected readings must not reach it", dr.Queries)
 	}
 }

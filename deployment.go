@@ -148,11 +148,9 @@ func WithTracer(t *trace.Tracer, site string) Option {
 // so a process restart warm-starts from the latest version with
 // OpenDeployment instead of re-surveying. Persistence happens on the
 // serialized write path; the lock-free query path never touches disk.
-// On that write path the outgoing snapshot is diffed against the last
-// persisted one, and a publish that changed only a few fingerprint
-// columns is persisted as a small delta record instead of a full
-// re-serialization (see Store and WithMaxChain) — the fsync-before-swap
-// durability contract is identical for both record kinds.
+// Each publish is persisted as a full snapshot record (see Store); a
+// store written by an earlier version may also hold delta records,
+// which warm starts and rollbacks still read.
 //
 // If the store already holds snapshots (e.g. from a previous deployment
 // life), version numbering continues after the stored history instead of
@@ -226,9 +224,46 @@ func (s *Snapshot) Version() uint64 { return s.version }
 // Fingerprints returns a copy of the snapshot's fingerprint matrix.
 func (s *Snapshot) Fingerprints() Matrix { return s.fp.Clone() }
 
+// The plausible range of one RSS reading, in dBm. Every locate entry
+// point and Monitor.Observe reject a measurement holding a reading
+// outside it, or a NaN, with a *ReadingError before any search or drift
+// work: the residual squares each reading, so anything above ~1e154
+// overflows to +Inf.
+const (
+	MinReadingDBm = -200
+	MaxReadingDBm = 50
+)
+
+// ReadingError reports a reading that is NaN or outside
+// [MinReadingDBm, MaxReadingDBm].
+type ReadingError struct {
+	// Link is the reading's position in the measurement.
+	Link  int
+	Value float64
+}
+
+func (e *ReadingError) Error() string {
+	return fmt.Sprintf("reading %g on link %d is outside the plausible range [%d, %d] dBm",
+		e.Value, e.Link, MinReadingDBm, MaxReadingDBm)
+}
+
+// checkReadings returns a *ReadingError for the first implausible
+// reading of rss, nil when every reading is plausible.
+func checkReadings(rss []float64) error {
+	for i, v := range rss {
+		if !(v >= MinReadingDBm && v <= MaxReadingDBm) { // NaN fails both
+			return &ReadingError{Link: i, Value: v}
+		}
+	}
+	return nil
+}
+
 // Locate estimates the target position for one online RSS vector (one
 // averaged reading per link).
 func (s *Snapshot) Locate(rss []float64) (Position, error) {
+	if err := checkReadings(rss); err != nil {
+		return Position{}, fmt.Errorf("iupdater: %w", err)
+	}
 	p, err := s.omp.LocatePoint(rss)
 	if err != nil {
 		return Position{}, fmt.Errorf("iupdater: %w", err)
@@ -256,16 +291,14 @@ type LocateStats struct {
 // LocateWithStats is Locate returning this query's exact search cost.
 // It allocates nothing beyond Locate itself.
 func (s *Snapshot) LocateWithStats(rss []float64) (Position, LocateStats, error) {
+	st := LocateStats{Version: s.version, Tier: s.ix.Mode().String()}
+	if err := checkReadings(rss); err != nil {
+		return Position{}, st, fmt.Errorf("iupdater: %w", err)
+	}
 	var info loc.SearchInfo
 	p, err := s.omp.LocatePointInfo(rss, &info)
-	st := LocateStats{
-		Version:       s.version,
-		Tier:          s.ix.Mode().String(),
-		ColumnEvals:   info.ColumnEvals,
-		ShardEvals:    info.ShardEvals,
-		ShardsVisited: info.ShardsVisited,
-		Rounds:        info.Rounds,
-	}
+	st.ColumnEvals, st.ShardEvals = info.ColumnEvals, info.ShardEvals
+	st.ShardsVisited, st.Rounds = info.ShardsVisited, info.Rounds
 	if err != nil {
 		return Position{}, st, fmt.Errorf("iupdater: %w", err)
 	}
@@ -295,6 +328,9 @@ func (s *Snapshot) LocateTraced(tr *trace.Trace, rss []float64) (Position, error
 // LocateCell estimates the strip-major grid cell index for one online
 // RSS vector.
 func (s *Snapshot) LocateCell(rss []float64) (int, error) {
+	if err := checkReadings(rss); err != nil {
+		return 0, fmt.Errorf("iupdater: %w", err)
+	}
 	cell, err := s.omp.Locate(rss)
 	if err != nil {
 		return 0, fmt.Errorf("iupdater: %w", err)
@@ -308,6 +344,9 @@ func (s *Snapshot) LocateCell(rss []float64) (int, error) {
 // formulation). Fewer estimates are returned when the measurement does
 // not support more.
 func (s *Snapshot) LocateMultiple(rss []float64, maxTargets int) ([]Position, error) {
+	if err := checkReadings(rss); err != nil {
+		return nil, fmt.Errorf("iupdater: %w", err)
+	}
 	pts, err := s.omp.LocateMultiple(rss, maxTargets, 0)
 	if err != nil {
 		return nil, fmt.Errorf("iupdater: %w", err)
@@ -322,6 +361,11 @@ func (s *Snapshot) LocateMultiple(rss []float64, maxTargets int) ([]Position, er
 // LocateBatch localizes every measurement against this snapshot, fanned
 // out over a bounded worker pool. Results are in input order.
 func (s *Snapshot) LocateBatch(ctx context.Context, rss [][]float64, workers int) ([]Position, error) {
+	for i, m := range rss {
+		if err := checkReadings(m); err != nil {
+			return nil, fmt.Errorf("iupdater: measurement %d: %w", i, err)
+		}
+	}
 	pts, err := loc.LocatePoints(ctx, s.omp, rss, workers)
 	if err != nil {
 		return nil, fmt.Errorf("iupdater: %w", err)
@@ -550,7 +594,7 @@ func NewDeployment(fingerprints Matrix, g Geometry, opts ...Option) (*Deployment
 	}
 	snap := newSnapshot(version, fingerprints.Clone(), g.grid(), cfg.search)
 	if cfg.store != nil {
-		if _, err := cfg.store.appendSnapshot(snap.version, g, snap.fp); err != nil {
+		if err := cfg.store.appendSnapshot(snap.version, g, snap.fp); err != nil {
 			return nil, err
 		}
 	}
@@ -581,7 +625,7 @@ func newDeploymentAt(fingerprints Matrix, g Geometry, version uint64, opts ...Op
 		if last := cfg.store.LatestVersion(); last > version {
 			return nil, fmt.Errorf("iupdater: store already holds version %d, beyond the takeover version %d", last, version)
 		} else if last < version {
-			if _, err := cfg.store.appendSnapshot(snap.version, g, snap.fp); err != nil {
+			if err := cfg.store.appendSnapshot(snap.version, g, snap.fp); err != nil {
 				return nil, err
 			}
 		}
@@ -875,11 +919,10 @@ func (d *Deployment) Refresh() error {
 	return nil
 }
 
-// publishLocked stamps the next version, persists it (durability before
-// visibility: a failed append publishes nothing; the store decides
-// whether the diff against the previous version is worth a delta
-// record), swaps the snapshot in and notifies subscribers. d.mu must be
-// held.
+// publishLocked stamps the next version, persists it as a full record
+// (durability before visibility: a failed append publishes nothing;
+// delta records that older stores hold are only ever read), swaps the
+// snapshot in and notifies subscribers. d.mu must be held.
 //
 // The three publish stages — snapshot build/index, store append+fsync,
 // atomic swap — are recorded as child spans of tr (nil records
@@ -895,9 +938,9 @@ func (d *Deployment) publishLocked(tr *trace.Trace, fp Matrix) (*Snapshot, error
 	if d.cfg.store != nil {
 		sp = tr.StartSpan(StagePersist)
 		t0 = time.Now()
-		kind, err := d.cfg.store.appendSnapshot(snap.version, d.geo, snap.fp)
+		err := d.cfg.store.appendSnapshot(snap.version, d.geo, snap.fp)
 		el := time.Since(t0)
-		sp.SetStr("record_kind", kind)
+		sp.SetStr("record_kind", "full")
 		sp.EndDur(el)
 		d.meters.updLat[StagePersist].Observe(el.Seconds())
 		if err != nil {

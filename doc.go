@@ -107,37 +107,29 @@
 // Persistence runs on the serialized write path; the lock-free query
 // path never touches disk.
 //
-// Because the paper's premise is low-cost updating, durability is
-// priced by what actually changed: on the write path the outgoing
-// snapshot is diffed column-wise against the last persisted version,
-// and when few columns differ (a typical auto-update refreshes a
-// handful of reference columns) the publish is persisted as a delta
-// record — the changed column indices and payloads only, roughly an
-// order of magnitude smaller than a full snapshot on the office
-// geometry — rather than re-serializing the whole matrix. Reads
-// (SnapshotAt, warm starts, rollbacks) transparently materialize a
-// delta by resolving its chain back to the nearest full record and
-// replaying the deltas, so callers never see the encoding. Chains stay
-// bounded: WithMaxChain (default 16) forces a fresh full record once a
-// chain reaches the bound, and a delta larger than half the full
-// payload is written as a full record instead. Compaction re-encodes
-// the whole retained suffix against its new base — the first retained
-// version becomes a full record and every later one is re-deltaed
-// (under the same chain and size bounds), so even records originally
-// forced to full by the chain bound shrink back to their churn, and
-// post-compaction disk stays proportional to what actually changed.
-// Store.Records (surfaced per site by Fleet Summaries and the serve
-// API) reports each retained version's record kind and on-disk bytes.
+// Every publish is persisted as one full snapshot record. An update
+// reconstructs the whole M×N fingerprint matrix from the no-decrease
+// scan and a few reference columns, so every column changes and a
+// column diff would save nothing: on the office geometry each update
+// writes one 6197-byte record. Stores written by earlier versions may
+// also hold delta records (the changed column indices and payloads
+// only). They are still read: SnapshotAt, warm starts, rollbacks,
+// rehydration and replication resolve a delta's chain back to the
+// nearest full record and replay the deltas, so callers never see the
+// encoding. Compaction copies the retained records; when the retained
+// range starts with a delta, that version is rewritten as a full record
+// and the deltas after it still resolve. Store.Records (surfaced per
+// site by Fleet Summaries and the serve API) reports each retained
+// version's record kind and on-disk bytes.
 //
-// The durability contract is the standard write-ahead one, identical
-// for both record kinds: record appends are a single write + fsync
-// before the snapshot swap, so a crash leaves at most one torn tail
-// record, which the next OpenStore detects (length/CRC) and truncates,
-// recovering to the newest durable version instead of failing open —
-// and since a delta is only valid over its predecessor, a truncated
-// base drops its dependent deltas with it; compaction and auxiliary
-// state writes go through temp-file + fsync + rename, so they are
-// atomic against crashes.
+// The durability contract is the standard write-ahead one: record
+// appends are a single write + fsync before the snapshot swap, so a
+// crash leaves at most one torn tail record, which the next OpenStore
+// detects (length/CRC) and truncates, recovering to the newest durable
+// version instead of failing open — and since a delta is only valid
+// over its predecessor, a truncated base drops its dependent deltas
+// with it; compaction and auxiliary state writes go through temp-file +
+// fsync + rename, so they are atomic against crashes.
 // OpenDeployment warm-starts a Deployment from a store's latest record
 // — same version number, bit-identical localization, no re-survey —
 // and a Monitor constructed over a stored Deployment resumes its
@@ -185,8 +177,8 @@
 // materialized Deployment (snapshot, locate index, monitor) in memory.
 // Past the cap the least-recently-queried durable site is parked —
 // its in-RAM state is released, its store stays open — and the next
-// query re-materializes it from the record log via the usual
-// delta-chain resolution, bit-identical at the same version (the
+// query re-materializes it from the record log, bit-identical at the
+// same version (the
 // park-to-serve latency is exported as a histogram, see
 // Observability). Site.Hydrate is the query-path accessor: on a
 // resident site it is one atomic load plus an LRU touch —
@@ -259,9 +251,10 @@
 // replication, and the wire protocol is the store's record log itself:
 // Deployment.ServeRecords exposes GET .../records (per site in serve
 // mode: GET /sites/{name}/records), which streams the retained record
-// frames — full snapshots and changed-column deltas, in their exact
-// on-disk framing — from a requested version. The Replica type is the
-// follower: OpenReplica tails that endpoint (long-poll, resuming after
+// frames, in their exact on-disk framing, from a requested version:
+// full snapshots, and the changed-column deltas a store written by an
+// earlier version may still hold. The Replica type is the follower:
+// OpenReplica tails that endpoint (long-poll, resuming after
 // disconnects under capped exponential backoff with jitter), feeds
 // every frame through the same CRC recheck and delta structural
 // validation the store runs during crash recovery, and publishes each

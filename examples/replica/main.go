@@ -5,13 +5,13 @@
 // iUpdater keeps fingerprint updates cheap; this walkthrough makes the
 // read path cheap to scale the same way. A leader office site publishes
 // its snapshot record log over HTTP (the wire format IS the on-disk
-// record format — full snapshots and changed-column deltas, CRC-framed).
+// record format — CRC-framed snapshot records).
 // A follower opens a Replica against that endpoint, validates every
 // streamed record exactly like the store's own crash recovery, and
 // swaps materialized snapshots behind the same atomic pointer a
 // Deployment uses — so Locate on the replica is lock-free and
 // bit-identical to the leader at the same version. The leader then
-// drifts and updates (a delta on the wire), the follower's connections
+// drifts and updates (a full record on the wire), the follower's connections
 // are all severed and it resumes on its own, and at the end the
 // follower is promoted: it continues the leader's version line as a
 // writer, durably, in its own store.
@@ -85,7 +85,7 @@ func main() {
 	fmt.Printf("locate on both: leader (%.2f, %.2f) follower (%.2f, %.2f) — identical: %v\n",
 		lp.X, lp.Y, fp.X, fp.Y, lp == fp)
 
-	// --- Drift and update: a delta record crosses the wire. -----------
+	// --- Drift and update: a full record crosses the wire. ------------
 	refs, err := leader.ReferenceLocations()
 	if err != nil {
 		log.Fatal(err)
@@ -104,8 +104,9 @@ func main() {
 		snap.Version(), last.Kind, last.Bytes, rep.Version())
 
 	// A tiny recalibration — one fingerprint column touched — persists
-	// and replicates as a changed-columns delta record, an order of
-	// magnitude smaller than the full snapshot.
+	// and replicates as a full record too: every publish writes the
+	// whole snapshot. (Followers still read the changed-columns delta
+	// records that stores written by earlier versions hold.)
 	rows := snap.Fingerprints().ToRows()
 	for i := range rows {
 		rows[i][10] += 0.5

@@ -27,8 +27,8 @@ import (
 // Deployment, the least-recently-queried parkable site is parked — its
 // in-RAM snapshot, locate index and monitor are released while the
 // durable store stays open — and the first query that reaches a parked
-// site re-materializes it from the store through the same delta-chain
-// resolution a restart uses. Cold sites then cost disk, not RAM, so a
+// site re-materializes it from the store through the same read path a
+// restart uses. Cold sites then cost disk, not RAM, so a
 // single process can register thousands of sites while keeping only the
 // hot set materialized.
 //
@@ -161,7 +161,7 @@ func (s *Site) touch() {
 }
 
 // rehydrate re-materializes a parked site: the latest snapshot is
-// loaded from the store through the usual delta-chain resolution, the
+// loaded from the store as a restart loads it, the
 // locate index rebuilt under the exact config the site was added with,
 // and the monitor (if a factory was provided) reconstructed. The new
 // deployment takes over the site's meters, so its locate, update-stage

@@ -24,7 +24,7 @@ func TestMICSelectsIndependentColumns(t *testing.T) {
 			t.Fatalf("%v: %d columns", method, len(idx))
 		}
 		sel := x.SelectCols(idx)
-		if got := mat.Rank(sel, 1e-8); got != 4 {
+		if got := svdRank(sel, 1e-8); got != 4 {
 			t.Errorf("%v: selected columns have rank %d, want 4", method, got)
 		}
 		// Ascending order.
@@ -169,8 +169,10 @@ func TestBasicRSVDCompletesLowRankMatrix(t *testing.T) {
 			}
 		}
 	}
-	res, err := BasicRSVD(xb, b, 8, 6, WithRank(3), WithLambda(1e-6), WithMaxIter(200), WithTol(1e-12),
-		WithWarmStart(true))
+	// Eqn 11's plain regularized-SVD completion: neither constraint.
+	rc := NewReconstructor(WithRank(3), WithLambda(1e-6), WithMaxIter(200), WithTol(1e-12),
+		WithWarmStart(true), WithConstraint1(false), WithConstraint2(false))
+	res, err := rc.Reconstruct(Input{XB: xb, B: b, Links: 8, PerStrip: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,4 +385,17 @@ func maskedMeanAbs(a, b *mat.Dense, mask fingerprint.Mask, known bool) float64 {
 		return 0
 	}
 	return sum / float64(cnt)
+}
+
+// svdRank counts the singular values of a above tol * s_max: the
+// numerical rank.
+func svdRank(a *mat.Dense, tol float64) int {
+	s := mat.SingularValues(a)
+	r := 0
+	for _, v := range s {
+		if v > tol*s[0] {
+			r++
+		}
+	}
+	return r
 }

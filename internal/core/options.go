@@ -40,17 +40,12 @@ type options struct {
 	lambda      float64
 	maxIter     int
 	tol         float64
-	vth         float64
 	variant     Variant
-	seed        uint64
+	seed        uint64 // random initialization of L̂, set per restart
 	useC1       bool
 	useC2       bool
-	c1Weight    float64 // strength multiplier on the auto-scaled weight
-	c2GWeight   float64
-	c2HWeight   float64
 	autoScale   bool
 	warmStart   bool
-	restarts    int
 	concurrency int // 1 = sequential, <=0 = GOMAXPROCS
 }
 
@@ -72,20 +67,14 @@ func defaultOptions() options {
 		lambda:    1e-3,
 		maxIter:   40,
 		tol:       1e-6,
-		vth:       0,
 		variant:   VariantGaussSeidel,
-		seed:      1,
 		useC1:     true,
 		useC2:     true,
-		c1Weight:  1,
-		c2GWeight: 1,
-		c2HWeight: 1,
 		autoScale: true,
 		// Algorithm 1 initializes L̂ randomly; the SVD warm start is our
 		// extension (see the initialization ablation benchmark) and is
 		// opt-in via WithWarmStart(true).
 		warmStart: false,
-		restarts:  3,
 		// Sequential by default: the sequential Gauss-Seidel sweep is
 		// the bit-exact reference; see WithConcurrency.
 		concurrency: 1,
@@ -108,15 +97,8 @@ func WithMaxIter(n int) Option { return func(o *options) { o.maxIter = n } }
 // WithTol sets the relative objective-change convergence tolerance.
 func WithTol(tol float64) Option { return func(o *options) { o.tol = tol } }
 
-// WithThreshold sets the absolute objective threshold v_th below which
-// iteration stops (Algorithm 1's v_th guard).
-func WithThreshold(vth float64) Option { return func(o *options) { o.vth = vth } }
-
 // WithVariant selects the per-column solve variant.
 func WithVariant(v Variant) Option { return func(o *options) { o.variant = v } }
-
-// WithSeed seeds the random initialization of L̂ (Algorithm 1 line 1).
-func WithSeed(s uint64) Option { return func(o *options) { o.seed = s } }
 
 // WithConstraint1 toggles the reference-correlation constraint
 // ||LRᵀ - X_R*Z||²F (Constraint 1 of Eqn 18).
@@ -125,24 +107,6 @@ func WithConstraint1(on bool) Option { return func(o *options) { o.useC1 = on } 
 // WithConstraint2 toggles the continuity and similarity constraints
 // ||X_D*G||²F + ||H*X_D||²F (Constraint 2 of Eqn 18).
 func WithConstraint2(on bool) Option { return func(o *options) { o.useC2 = on } }
-
-// WithConstraint1Weight scales Constraint 1 relative to the auto-scaled
-// baseline (1 = same order of magnitude as the data term, §IV-E).
-func WithConstraint1Weight(w float64) Option { return func(o *options) { o.c1Weight = w } }
-
-// WithConstraint2Weight scales both Constraint 2 terms relative to the
-// auto-scaled baseline.
-func WithConstraint2Weight(w float64) Option {
-	return func(o *options) { o.c2GWeight, o.c2HWeight = w, w }
-}
-
-// WithContinuityWeight scales only the neighboring-location continuity
-// term ||X_D*G||²F.
-func WithContinuityWeight(w float64) Option { return func(o *options) { o.c2GWeight = w } }
-
-// WithSimilarityWeight scales only the adjacent-link similarity term
-// ||H*X_D||²F.
-func WithSimilarityWeight(w float64) Option { return func(o *options) { o.c2HWeight = w } }
 
 // WithAutoScale toggles the §IV-E magnitude equalization of the objective
 // terms. When off, the raw weights are used directly.
@@ -153,11 +117,6 @@ func WithAutoScale(on bool) Option { return func(o *options) { o.autoScale = on 
 // instead of Algorithm 1's random L0; it converges faster and to better
 // optima — measured in the initialization ablation benchmark.
 func WithWarmStart(on bool) Option { return func(o *options) { o.warmStart = on } }
-
-// WithRestarts sets the number of random restarts for the cold-started
-// alternating solve; the run with the lowest objective wins. Ignored with
-// a warm start. Values below 1 are treated as 1.
-func WithRestarts(n int) Option { return func(o *options) { o.restarts = n } }
 
 // WithConcurrency shards each ALS sweep's independent row/column solves
 // over n workers (n <= 0 selects GOMAXPROCS; the default 1 runs

@@ -107,20 +107,24 @@ type solverState struct {
 	par      []*solveCtx
 }
 
+// coldRestarts is how many random restarts a cold-started Reconstruct
+// runs.
+const coldRestarts = 3
+
 // Reconstruct solves Eqn 18 and returns the reconstructed fingerprint
-// matrix. Cold starts run the configured number of random restarts and
-// keep the solution with the lowest objective; warm starts are
-// deterministic and run once.
+// matrix. Cold starts run coldRestarts random restarts and keep the
+// solution with the lowest objective; warm starts are deterministic and
+// run once.
 func (rc *Reconstructor) Reconstruct(in Input) (*Result, error) {
-	restarts := rc.opts.restarts
-	if restarts < 1 || rc.opts.warmStart {
+	restarts := coldRestarts
+	if rc.opts.warmStart {
 		restarts = 1
 	}
 	var best *Result
 	var sharedWeights *[4]float64
 	for k := 0; k < restarts; k++ {
 		sub := *rc
-		sub.opts.seed = rc.opts.seed + uint64(k)*0x9e37
+		sub.opts.seed = 1 + uint64(k)*0x9e37
 		res, err := sub.reconstructOnce(in, sharedWeights)
 		if err != nil {
 			if best != nil {
@@ -170,9 +174,9 @@ func (rc *Reconstructor) reconstructOnce(in Input, fixedWeights *[4]float64) (*R
 				break
 			}
 		}
-		if v <= st.o.vth {
-			// Algorithm 1's v_th guard: once the objective is below the
-			// threshold, further refinement is noise-fitting.
+		if v <= 0 {
+			// Algorithm 1's v_th guard at v_th = 0: an exact fit leaves
+			// nothing to refine.
 			break
 		}
 		prev = v
@@ -381,28 +385,26 @@ func hashSignal(seed, idx uint64) float64 {
 }
 
 // scaleWeights implements the §IV-E magnitude equalization: each
-// constraint term is scaled so its initial value matches the data term,
-// then multiplied by the configured strength.
+// constraint term is scaled so its initial value matches the data term.
 func (st *solverState) scaleWeights() {
 	st.wData = 1
 	st.wC1, st.wC2G, st.wC2H = 0, 0, 0
 	raw := st.rawTerms()
 	base := math.Max(raw.Data, 1e-9)
 	if st.p != nil {
-		st.wC1 = st.o.c1Weight
+		st.wC1 = 1
 		if st.o.autoScale && raw.Reference > 1e-12 {
-			st.wC1 = st.o.c1Weight * math.Min(base/raw.Reference, 1e3)
+			st.wC1 = math.Min(base/raw.Reference, 1e3)
 		}
 	}
 	if st.o.useC2 {
-		st.wC2G = st.o.c2GWeight
-		st.wC2H = st.o.c2HWeight
+		st.wC2G, st.wC2H = 1, 1
 		if st.o.autoScale {
 			if raw.Continuity > 1e-12 {
-				st.wC2G = st.o.c2GWeight * math.Min(base/raw.Continuity, 1e3)
+				st.wC2G = math.Min(base/raw.Continuity, 1e3)
 			}
 			if raw.Similarity > 1e-12 {
-				st.wC2H = st.o.c2HWeight * math.Min(base/raw.Similarity, 1e3)
+				st.wC2H = math.Min(base/raw.Similarity, 1e3)
 			}
 		}
 		if st.o.variant == VariantPaper {

@@ -1,7 +1,6 @@
 package fingerprint
 
 import (
-	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -216,9 +215,6 @@ func TestALSSmallForSimilarLinks(t *testing.T) {
 
 func TestMaskCounts(t *testing.T) {
 	m := NewMask(2, 4, func(i, j int) bool { return i == 0 && j < 2 })
-	if got := m.UnknownCount(); got != 2 {
-		t.Errorf("UnknownCount = %d, want 2", got)
-	}
 	if got := m.KnownCount(); got != 6 {
 		t.Errorf("KnownCount = %d, want 6", got)
 	}
@@ -237,44 +233,6 @@ func TestMaskProjectAndComplement(t *testing.T) {
 	// Affected (i==j) entries are unknown -> zeroed by projection.
 	if proj.At(0, 0) != 0 || proj.At(1, 1) != 0 || proj.At(0, 1) != 2 || proj.At(1, 0) != 3 {
 		t.Errorf("Project =\n%v", proj)
-	}
-	comp := m.Complement()
-	if comp.KnownCount() != 2 {
-		t.Errorf("Complement KnownCount = %d, want 2", comp.KnownCount())
-	}
-}
-
-func TestDatabaseSaveLoadRoundTrip(t *testing.T) {
-	x := mat.NewFromRows([][]float64{
-		{-60, -61, -62, -63},
-		{-70, -71, -72, -73},
-	})
-	db := &Database{
-		Fingerprint: New(x, 12345),
-		Mask:        NewMask(2, 4, func(i, j int) bool { return j == 0 }),
-	}
-	var buf bytes.Buffer
-	if err := db.Save(&buf); err != nil {
-		t.Fatalf("Save: %v", err)
-	}
-	got, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	if !got.Fingerprint.X.Equal(db.Fingerprint.X) {
-		t.Error("fingerprint matrix did not round-trip")
-	}
-	if got.Fingerprint.CollectedAt != 12345 {
-		t.Errorf("CollectedAt = %v", got.Fingerprint.CollectedAt)
-	}
-	if !got.Mask.B.Equal(db.Mask.B) {
-		t.Error("mask did not round-trip")
-	}
-}
-
-func TestLoadRejectsCorruptStream(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("not a gob stream"))); err == nil {
-		t.Error("Load accepted garbage")
 	}
 }
 

@@ -46,21 +46,10 @@ func (m Mask) KnownCount() int {
 	return n
 }
 
-// UnknownCount returns the number of entries requiring the target.
-func (m Mask) UnknownCount() int {
-	rows, cols := m.B.Dims()
-	return rows*cols - m.KnownCount()
-}
-
 // Project returns B ∘ X: X restricted to the known entries, zero
 // elsewhere.
 func (m Mask) Project(x *mat.Dense) *mat.Dense {
 	return mat.Hadamard(m.B, x)
-}
-
-// Complement returns the mask of affected entries (1 - B).
-func (m Mask) Complement() Mask {
-	return Mask{B: m.B.Apply(func(_, _ int, v float64) float64 { return 1 - v })}
 }
 
 // Validate checks structural invariants: entries are exactly 0 or 1.

@@ -19,11 +19,6 @@ func (p Point) Distance(q Point) float64 {
 	return math.Hypot(p.X-q.X, p.Y-q.Y)
 }
 
-// Lerp returns the point p + t*(q-p).
-func (p Point) Lerp(q Point, t float64) Point {
-	return Point{X: p.X + t*(q.X-p.X), Y: p.Y + t*(q.Y-p.Y)}
-}
-
 // Link is a wireless link between a transmitter and a receiver.
 type Link struct {
 	TX, RX Point
@@ -55,48 +50,10 @@ func (l Link) Project(p Point) (t, perp float64) {
 
 // ExcessPathLength returns d(TX,p) + d(p,RX) - d(TX,RX): how much longer
 // the path through p is than the direct path. It is the quantity that
-// determines Fresnel zone membership.
+// determines Fresnel zone membership: p lies inside the first zone
+// when it is below half a wavelength.
 func (l Link) ExcessPathLength(p Point) float64 {
 	return l.TX.Distance(p) + p.Distance(l.RX) - l.Length()
-}
-
-// FresnelRadius returns the radius of the n-th Fresnel zone at a point
-// located d1 from TX and d2 from RX, for the given wavelength (meters).
-func FresnelRadius(n int, wavelength, d1, d2 float64) float64 {
-	if d1 <= 0 || d2 <= 0 {
-		return 0
-	}
-	return math.Sqrt(float64(n) * wavelength * d1 * d2 / (d1 + d2))
-}
-
-// InFirstFresnelZone reports whether p lies inside the first Fresnel zone
-// of the link: the ellipse of points whose excess path length is below
-// half a wavelength.
-func (l Link) InFirstFresnelZone(p Point, wavelength float64) bool {
-	return l.ExcessPathLength(p) < wavelength/2
-}
-
-// ClearanceRatio returns the Fresnel-Kirchhoff diffraction parameter v for
-// an obstruction at p relative to the link. Positive v means the direct
-// path is blocked (obstruction reaches past the line of sight); the more
-// positive, the deeper the shadow. v <= -1 means essentially clear.
-//
-// v = h * sqrt(2*(d1+d2) / (lambda*d1*d2)), where h is the signed
-// clearance: positive when the obstruction crosses the direct path. For a
-// device-free target we treat the target's effective radius as how far it
-// protrudes toward the line of sight, so h = radius - perpendicular
-// distance.
-func (l Link) ClearanceRatio(p Point, wavelength, targetRadius float64) float64 {
-	t, perp := l.Project(p)
-	d := l.Length()
-	d1 := t * d
-	d2 := (1 - t) * d
-	if d1 < 1e-9 || d2 < 1e-9 {
-		// Standing on top of a transceiver: total obstruction.
-		return 4
-	}
-	h := targetRadius - perp
-	return h * math.Sqrt(2*(d1+d2)/(wavelength*d1*d2))
 }
 
 // Grid is the strip-major division of the monitoring area into N = M*K
@@ -194,24 +151,6 @@ func (g Grid) LinkLine(i int) Link {
 	_, across := g.CellSize()
 	y := (float64(i) + 0.5) * across
 	return Link{TX: Point{X: 0, Y: y}, RX: Point{X: g.Width, Y: y}}
-}
-
-// NeighborsInStrip returns the indices (within-strip positions) of the
-// neighbors of position u along a strip: {u-1, u+1} clipped to bounds.
-// This is the neighboring relationship encoded by the paper's T matrix
-// (Eqn 4).
-func (g Grid) NeighborsInStrip(u int) []int {
-	if u < 0 || u >= g.PerStrip {
-		panic(fmt.Sprintf("geom: strip position %d out of range %d", u, g.PerStrip))
-	}
-	out := make([]int, 0, 2)
-	if u > 0 {
-		out = append(out, u-1)
-	}
-	if u < g.PerStrip-1 {
-		out = append(out, u+1)
-	}
-	return out
 }
 
 func (g Grid) checkCell(j int) {

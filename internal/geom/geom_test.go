@@ -27,21 +27,6 @@ func TestPointDistance(t *testing.T) {
 	}
 }
 
-func TestLerp(t *testing.T) {
-	p := Point{0, 0}
-	q := Point{10, 20}
-	mid := p.Lerp(q, 0.5)
-	if mid.X != 5 || mid.Y != 10 {
-		t.Errorf("Lerp(0.5) = %v", mid)
-	}
-	if got := p.Lerp(q, 0); got != p {
-		t.Errorf("Lerp(0) = %v, want %v", got, p)
-	}
-	if got := p.Lerp(q, 1); got != q {
-		t.Errorf("Lerp(1) = %v, want %v", got, q)
-	}
-}
-
 func TestLinkProject(t *testing.T) {
 	l := Link{TX: Point{0, 0}, RX: Point{10, 0}}
 	tests := []struct {
@@ -83,18 +68,8 @@ func TestExcessPathLength(t *testing.T) {
 	}
 }
 
-func TestFresnelRadius(t *testing.T) {
-	// At midpoint of a 10 m link at 2.4 GHz (lambda=0.125 m):
-	// r = sqrt(lambda*d1*d2/d) = sqrt(0.125*25/10) = 0.559 m.
-	got := FresnelRadius(1, 0.125, 5, 5)
-	if math.Abs(got-math.Sqrt(0.125*2.5)) > 1e-12 {
-		t.Errorf("FresnelRadius = %v", got)
-	}
-	if FresnelRadius(1, 0.125, 0, 5) != 0 {
-		t.Error("zero d1 should give zero radius")
-	}
-}
-
+// TestInFirstFresnelZone: the first Fresnel zone is the ellipse of
+// points whose excess path length is below half a wavelength.
 func TestInFirstFresnelZone(t *testing.T) {
 	l := Link{TX: Point{0, 0}, RX: Point{10, 0}}
 	const lambda = 0.125
@@ -111,48 +86,10 @@ func TestInFirstFresnelZone(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := l.InFirstFresnelZone(tt.p, lambda); got != tt.want {
-				t.Errorf("InFirstFresnelZone(%v) = %v, want %v", tt.p, got, tt.want)
+			if got := l.ExcessPathLength(tt.p) < lambda/2; got != tt.want {
+				t.Errorf("ExcessPathLength(%v) < lambda/2 = %v, want %v", tt.p, got, tt.want)
 			}
 		})
-	}
-}
-
-func TestClearanceRatioRegimes(t *testing.T) {
-	l := Link{TX: Point{0, 0}, RX: Point{12, 0}}
-	const (
-		lambda = 0.125
-		radius = 0.26 // human torso effective radius
-	)
-	// Blocking the path: v > 0.
-	if v := l.ClearanceRatio(Point{6, 0}, lambda, radius); v <= 0 {
-		t.Errorf("blocking v = %v, want > 0", v)
-	}
-	// Near but not blocking: -1 < v < small.
-	vNear := l.ClearanceRatio(Point{6, 0.5}, lambda, radius)
-	if vNear >= 0 {
-		t.Errorf("near-path v = %v, want < 0", vNear)
-	}
-	// Far: strongly negative.
-	vFar := l.ClearanceRatio(Point{6, 3}, lambda, radius)
-	if vFar >= vNear {
-		t.Errorf("far v = %v should be below near v = %v", vFar, vNear)
-	}
-	// Monotone decrease as the target moves away laterally.
-	prev := math.Inf(1)
-	for _, y := range []float64{0, 0.2, 0.4, 0.8, 1.6, 3.2} {
-		v := l.ClearanceRatio(Point{6, y}, lambda, radius)
-		if v >= prev {
-			t.Errorf("v not monotone at y=%v: %v >= %v", y, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestClearanceRatioAtTransceiver(t *testing.T) {
-	l := Link{TX: Point{0, 0}, RX: Point{12, 0}}
-	if v := l.ClearanceRatio(Point{0, 0}, 0.125, 0.26); v < 3 {
-		t.Errorf("standing on TX should be deep shadow, v = %v", v)
 	}
 }
 
@@ -238,30 +175,6 @@ func TestLinkLineGeometry(t *testing.T) {
 	}
 }
 
-func TestNeighborsInStrip(t *testing.T) {
-	g := NewGrid(12, 9, 8, 12)
-	tests := []struct {
-		u    int
-		want []int
-	}{
-		{0, []int{1}},
-		{5, []int{4, 6}},
-		{11, []int{10}},
-	}
-	for _, tt := range tests {
-		got := g.NeighborsInStrip(tt.u)
-		if len(got) != len(tt.want) {
-			t.Errorf("NeighborsInStrip(%d) = %v, want %v", tt.u, got, tt.want)
-			continue
-		}
-		for i := range got {
-			if got[i] != tt.want[i] {
-				t.Errorf("NeighborsInStrip(%d) = %v, want %v", tt.u, got, tt.want)
-			}
-		}
-	}
-}
-
 func TestGridPanics(t *testing.T) {
 	g := NewGrid(12, 9, 8, 12)
 	tests := []struct {
@@ -272,7 +185,6 @@ func TestGridPanics(t *testing.T) {
 		{"bad shape", func() { NewGrid(12, 9, 0, 12) }},
 		{"center out of range", func() { g.Center(96) }},
 		{"link out of range", func() { g.LinkLine(8) }},
-		{"neighbor out of range", func() { g.NeighborsInStrip(12) }},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {

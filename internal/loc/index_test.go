@@ -138,6 +138,17 @@ func TestIndexPrunedTieBreaksMatchExhaustive(t *testing.T) {
 	}
 }
 
+// pursueWeighted runs the greedy pursuit and returns copies of the
+// selected columns and their final least-squares weights.
+func pursueWeighted(o *OMP, y []float64) ([]int, []float64, error) {
+	s, sel, w, err := o.pursue(y, nil)
+	if err != nil {
+		return nil, nil, err
+	}
+	defer o.ix.putScratch(s)
+	return append([]int(nil), sel...), append([]float64(nil), w...), nil
+}
+
 // TestOMPPrunedPursuitMatchesExhaustive runs the full greedy pursuit
 // over both tiers on realistic office measurements: selections and
 // weights must be bit-identical.
@@ -150,8 +161,8 @@ func TestOMPPrunedPursuitMatchesExhaustive(t *testing.T) {
 	for trial := 0; trial < 25; trial++ {
 		p := geom.Point{X: rng.Float64() * g.Width, Y: rng.Float64() * g.Height}
 		y := s.MeasureOnline(p, 400+float64(trial)*37, testbed.IUpdaterSamples)
-		selP, wP, errP := ompP.PursueWeighted(y)
-		selE, wE, errE := ompE.PursueWeighted(y)
+		selP, wP, errP := pursueWeighted(ompP, y)
+		selE, wE, errE := pursueWeighted(ompE, y)
 		if (errP == nil) != (errE == nil) {
 			t.Fatalf("trial %d: pruned err %v, exhaustive err %v", trial, errP, errE)
 		}

@@ -14,7 +14,6 @@ package loc
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"iupdater/internal/geom"
 	"iupdater/internal/mat"
@@ -103,20 +102,6 @@ func (o *OMP) Pursue(y []float64) ([]int, error) {
 	out := append([]int(nil), sel...)
 	o.ix.putScratch(s)
 	return out, nil
-}
-
-// PursueWeighted runs the greedy pursuit and returns the selected column
-// indices with their final least-squares weights (Eqn 26's nonlinear
-// optimization restricted to the selected support).
-func (o *OMP) PursueWeighted(y []float64) ([]int, []float64, error) {
-	s, sel, w, err := o.pursue(y, nil)
-	if err != nil {
-		return nil, nil, err
-	}
-	outSel := append([]int(nil), sel...)
-	outW := append([]float64(nil), w...)
-	o.ix.putScratch(s)
-	return outSel, outW, nil
 }
 
 // pursue is the scratch-backed pursuit core. On success it returns the
@@ -277,63 +262,3 @@ func (op *OMPPoint) Locate(y []float64) (int, error) {
 }
 
 var _ Localizer = (*OMPPoint)(nil)
-
-// SparseRecover runs plain OMP sparse recovery for y = A*w with k-sparse
-// w over an arbitrary dictionary (no centering). It returns the selected
-// column indices and their least-squares coefficients. Exposed for
-// property tests and for callers that use OMP as a generic solver. It is
-// a one-shot solver over an arbitrary dictionary, so it does not build
-// an Index and allocates freely.
-func SparseRecover(a *mat.Dense, y []float64, k int, tol float64) ([]int, []float64, error) {
-	m, n := a.Dims()
-	if len(y) != m {
-		return nil, nil, fmt.Errorf("loc: dimension mismatch %d vs %d", len(y), m)
-	}
-	if k <= 0 || k > n {
-		return nil, nil, fmt.Errorf("loc: sparsity %d out of range", k)
-	}
-	norms := mat.ColNorms(a)
-	resid := make([]float64, m)
-	copy(resid, y)
-	var sel []int
-	inSel := make(map[int]bool)
-	var coef []float64
-	for len(sel) < k {
-		best, bestAbs := -1, 0.0
-		for j := 0; j < n; j++ {
-			if inSel[j] || norms[j] == 0 {
-				continue
-			}
-			var c float64
-			for i := 0; i < m; i++ {
-				c += a.At(i, j) * resid[i]
-			}
-			c /= norms[j]
-			if ab := math.Abs(c); ab > bestAbs {
-				best, bestAbs = j, ab
-			}
-		}
-		if best < 0 {
-			break
-		}
-		sel = append(sel, best)
-		inSel[best] = true
-		sub := a.SelectCols(sel)
-		w, err := mat.LeastSquares(sub, y)
-		if err != nil {
-			return nil, nil, fmt.Errorf("loc: sparse recovery least squares: %w", err)
-		}
-		coef = w
-		approx := mat.MulVec(sub, w)
-		for i := range resid {
-			resid[i] = y[i] - approx[i]
-		}
-		if mat.VecNorm2Sq(resid) < tol {
-			break
-		}
-	}
-	if len(sel) == 0 {
-		return nil, nil, errors.New("loc: sparse recovery selected nothing")
-	}
-	return sel, coef, nil
-}

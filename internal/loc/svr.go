@@ -183,17 +183,6 @@ func (s *SVR) Predict(q []float64) (float64, error) {
 	return out, nil
 }
 
-// SupportVectors returns the number of non-zero dual coefficients.
-func (s *SVR) SupportVectors() int {
-	var c int
-	for _, b := range s.beta {
-		if b != 0 {
-			c++
-		}
-	}
-	return c
-}
-
 func (s *SVR) rbf(a, b []float64) float64 {
 	var d float64
 	for i := range a {

@@ -98,11 +98,6 @@ func (c *Cholesky) SolveVecInto(x, b []float64) {
 	}
 }
 
-// Solve solves A*X = B column by column.
-func (c *Cholesky) Solve(b *Dense) *Dense {
-	return c.SolveInto(New(b.rows, b.cols), b)
-}
-
 // SolveInto solves A*X = B column by column into dst, allocating nothing
 // after the first call at a given size. dst may alias b.
 func (c *Cholesky) SolveInto(dst, b *Dense) *Dense {

@@ -153,15 +153,6 @@ func (m *Dense) Col(j int) []float64 {
 	return out
 }
 
-// SetRow copies v into row i.
-func (m *Dense) SetRow(i int, v []float64) {
-	m.checkIndex(i, 0)
-	if len(v) != m.cols {
-		panic(fmt.Sprintf("mat: SetRow length %d, want %d", len(v), m.cols))
-	}
-	copy(m.data[i*m.cols:(i+1)*m.cols], v)
-}
-
 // SetCol copies v into column j.
 func (m *Dense) SetCol(j int, v []float64) {
 	m.checkIndex(0, j)
@@ -224,19 +215,6 @@ func (m *Dense) SelectCols(idx []int) *Dense {
 		for i := 0; i < m.rows; i++ {
 			out.data[i*out.cols+k] = m.data[i*m.cols+j]
 		}
-	}
-	return out
-}
-
-// SelectRows returns a copy of the rows of m listed in idx, in order.
-func (m *Dense) SelectRows(idx []int) *Dense {
-	if len(idx) == 0 {
-		panic("mat: SelectRows requires at least one row")
-	}
-	out := New(len(idx), m.cols)
-	for k, i := range idx {
-		m.checkIndex(i, 0)
-		copy(out.data[k*out.cols:(k+1)*out.cols], m.data[i*m.cols:(i+1)*m.cols])
 	}
 	return out
 }

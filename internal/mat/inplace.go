@@ -206,20 +206,6 @@ func MulTBInto(dst, a, b *Dense) *Dense {
 	return dst
 }
 
-// TransposeInto computes dst = aᵀ.
-func TransposeInto(dst, a *Dense) *Dense {
-	if dst.rows != a.cols || dst.cols != a.rows {
-		panic(fmt.Sprintf("mat: TransposeInto destination is %dx%d, want %dx%d", dst.rows, dst.cols, a.cols, a.rows))
-	}
-	checkNoAlias("TransposeInto", dst, a)
-	for i := 0; i < a.rows; i++ {
-		for j := 0; j < a.cols; j++ {
-			dst.data[j*dst.cols+i] = a.data[i*a.cols+j]
-		}
-	}
-	return dst
-}
-
 // SelectColsInto copies the columns of a listed in idx, in order, into
 // dst, which must be a.rows x len(idx).
 func SelectColsInto(dst, a *Dense, idx []int) *Dense {

@@ -174,11 +174,6 @@ func SolveMatrix(a, b *Dense) (*Dense, error) {
 	return f.Solve(b)
 }
 
-// Inverse returns a⁻¹ for the square matrix a.
-func Inverse(a *Dense) (*Dense, error) {
-	return SolveMatrix(a, Identity(a.rows))
-}
-
 // Det returns the determinant of a square matrix, or 0 if it is exactly
 // singular.
 func Det(a *Dense) float64 {

@@ -30,67 +30,11 @@ func FrobeniusNormSq(m *Dense) float64 {
 	return s
 }
 
-// Norm21 returns the l2,1 norm: the sum over columns of the column
-// Euclidean norms. This is the group-sparsity norm used for the error term
-// in low-rank representation (Eqn 12 of the paper).
-func Norm21(m *Dense) float64 {
-	var total float64
-	for j := 0; j < m.cols; j++ {
-		var s float64
-		for i := 0; i < m.rows; i++ {
-			v := m.data[i*m.cols+j]
-			s += v * v
-		}
-		total += math.Sqrt(s)
-	}
-	return total
-}
-
-// NuclearNorm returns the sum of the singular values of m.
-func NuclearNorm(m *Dense) float64 {
-	sv := SingularValues(m)
-	var s float64
-	for _, v := range sv {
-		s += v
-	}
-	return s
-}
-
-// VecNorm2 returns the Euclidean norm of x.
-func VecNorm2(x []float64) float64 {
-	var scale, ssq float64 = 0, 1
-	for _, v := range x {
-		if v == 0 {
-			continue
-		}
-		av := math.Abs(v)
-		if scale < av {
-			ssq = 1 + ssq*(scale/av)*(scale/av)
-			scale = av
-		} else {
-			ssq += (av / scale) * (av / scale)
-		}
-	}
-	return scale * math.Sqrt(ssq)
-}
-
 // VecNorm2Sq returns the squared Euclidean norm of x.
 func VecNorm2Sq(x []float64) float64 {
 	var s float64
 	for _, v := range x {
 		s += v * v
-	}
-	return s
-}
-
-// Dot returns the inner product of x and y, which must have equal length.
-func Dot(x, y []float64) float64 {
-	if len(x) != len(y) {
-		panic("mat: Dot length mismatch")
-	}
-	var s float64
-	for i, v := range x {
-		s += v * y[i]
 	}
 	return s
 }

@@ -35,15 +35,6 @@ func Mul(a, b *Dense) *Dense {
 	return MulInto(New(a.rows, b.cols), a, b)
 }
 
-// MulSparse returns a * b, skipping zero entries of a (the masked
-// multiply kernel).
-func MulSparse(a, b *Dense) *Dense {
-	if a.cols != b.rows {
-		panic(fmt.Sprintf("mat: MulSparse dimension mismatch %dx%d * %dx%d", a.rows, a.cols, b.rows, b.cols))
-	}
-	return MulSparseInto(New(a.rows, b.cols), a, b)
-}
-
 // MulTA returns aᵀ * b without materializing the transpose.
 func MulTA(a, b *Dense) *Dense {
 	if a.rows != b.rows {
@@ -93,41 +84,6 @@ func MulVecT(a *Dense, x []float64) []float64 {
 			out[j] += av * xi
 		}
 	}
-	return out
-}
-
-// Outer returns the outer product x * yᵀ.
-func Outer(x, y []float64) *Dense {
-	out := New(len(x), len(y))
-	for i, xv := range x {
-		for j, yv := range y {
-			out.data[i*out.cols+j] = xv * yv
-		}
-	}
-	return out
-}
-
-// HStack returns [a | b], the horizontal concatenation of a and b.
-func HStack(a, b *Dense) *Dense {
-	if a.rows != b.rows {
-		panic(fmt.Sprintf("mat: HStack row mismatch %d vs %d", a.rows, b.rows))
-	}
-	out := New(a.rows, a.cols+b.cols)
-	for i := 0; i < a.rows; i++ {
-		copy(out.data[i*out.cols:], a.data[i*a.cols:(i+1)*a.cols])
-		copy(out.data[i*out.cols+a.cols:], b.data[i*b.cols:(i+1)*b.cols])
-	}
-	return out
-}
-
-// VStack returns the vertical concatenation of a on top of b.
-func VStack(a, b *Dense) *Dense {
-	if a.cols != b.cols {
-		panic(fmt.Sprintf("mat: VStack column mismatch %d vs %d", a.cols, b.cols))
-	}
-	out := New(a.rows+b.rows, a.cols)
-	copy(out.data, a.data)
-	copy(out.data[len(a.data):], b.data)
 	return out
 }
 
@@ -198,20 +154,6 @@ func (m *Dense) ColSums() []float64 {
 		for j, v := range row {
 			out[j] += v
 		}
-	}
-	return out
-}
-
-// RowSums returns the per-row sums.
-func (m *Dense) RowSums() []float64 {
-	out := make([]float64, m.rows)
-	for i := 0; i < m.rows; i++ {
-		row := m.data[i*m.cols : (i+1)*m.cols]
-		var s float64
-		for _, v := range row {
-			s += v
-		}
-		out[i] = s
 	}
 	return out
 }

@@ -97,27 +97,6 @@ func TestMulVecT(t *testing.T) {
 	}
 }
 
-func TestOuter(t *testing.T) {
-	o := Outer([]float64{1, 2}, []float64{3, 4, 5})
-	want := NewFromRows([][]float64{{3, 4, 5}, {6, 8, 10}})
-	if !o.Equal(want) {
-		t.Errorf("Outer =\n%v", o)
-	}
-}
-
-func TestStacking(t *testing.T) {
-	a := NewFromRows([][]float64{{1, 2}})
-	b := NewFromRows([][]float64{{3, 4}})
-	h := HStack(a, b)
-	if want := NewFromRows([][]float64{{1, 2, 3, 4}}); !h.Equal(want) {
-		t.Errorf("HStack =\n%v", h)
-	}
-	v := VStack(a, b)
-	if want := NewFromRows([][]float64{{1, 2}, {3, 4}}); !v.Equal(want) {
-		t.Errorf("VStack =\n%v", v)
-	}
-}
-
 func TestApply(t *testing.T) {
 	a := NewFromRows([][]float64{{1, 2}, {3, 4}})
 	got := a.Apply(func(i, j int, v float64) float64 { return v * v })
@@ -151,12 +130,6 @@ func TestColRowSums(t *testing.T) {
 	for i, want := range []float64{5, 7, 9} {
 		if cs[i] != want {
 			t.Errorf("ColSums[%d] = %v, want %v", i, cs[i], want)
-		}
-	}
-	rs := a.RowSums()
-	for i, want := range []float64{6, 15} {
-		if rs[i] != want {
-			t.Errorf("RowSums[%d] = %v, want %v", i, rs[i], want)
 		}
 	}
 }

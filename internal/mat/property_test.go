@@ -81,7 +81,7 @@ func TestQuickNuclearDominatesFrobenius(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		a := quickMatrix(rng, 8)
-		return NuclearNorm(a) >= FrobeniusNorm(a)-1e-9
+		return nuclearNorm(a) >= FrobeniusNorm(a)-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -109,7 +109,7 @@ func TestQuickSVDOperatorNormBound(t *testing.T) {
 			x[i] = rng.NormFloat64()
 		}
 		s := SingularValues(a)
-		return VecNorm2(MulVec(a, x)) <= s[0]*VecNorm2(x)+1e-9
+		return math.Sqrt(VecNorm2Sq(MulVec(a, x))) <= s[0]*math.Sqrt(VecNorm2Sq(x))+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -155,7 +155,7 @@ func TestQuickSVTNonExpansive(t *testing.T) {
 		a := RandomNormal(r, c, rng)
 		b := RandomNormal(r, c, rng)
 		tau := rng.Float64() * 2
-		d1 := FrobeniusNorm(SubM(SVT(a, tau), SVT(b, tau)))
+		d1 := FrobeniusNorm(SubM(svt(a, tau), svt(b, tau)))
 		d2 := FrobeniusNorm(SubM(a, b))
 		return d1 <= d2+1e-8
 	}
@@ -172,21 +172,9 @@ func TestQuickShrink21NonExpansive(t *testing.T) {
 		a := RandomNormal(r, c, rng)
 		b := RandomNormal(r, c, rng)
 		tau := rng.Float64() * 2
-		d1 := FrobeniusNorm(SubM(ShrinkColumns21(a, tau), ShrinkColumns21(b, tau)))
+		d1 := FrobeniusNorm(SubM(ShrinkColumns21Into(New(r, c), a, tau), ShrinkColumns21Into(New(r, c), b, tau)))
 		d2 := FrobeniusNorm(SubM(a, b))
 		return d1 <= d2+1e-8
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickRankBoundedByDims(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		a := quickMatrix(rng, 10)
-		r := Rank(a, 0)
-		return r >= 0 && r <= minInt(a.rows, a.cols)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -284,9 +272,6 @@ func TestQuickMultiplyIntoMatchBitForBit(t *testing.T) {
 		if !MulTBInto(New(m, n), a, bt).Equal(MulTB(a, bt)) {
 			return false
 		}
-		if !TransposeInto(New(k, m), a).Equal(a.T()) {
-			return false
-		}
 		idx := rng.Perm(k)[:1+rng.Intn(k)]
 		if !SelectColsInto(New(m, len(idx)), a, idx).Equal(a.SelectCols(idx)) {
 			return false
@@ -335,7 +320,7 @@ func TestQuickMulSparseMatchesDense(t *testing.T) {
 		a := RandomNormal(m, k, rng)
 		sparsify(a, rng)
 		b := RandomNormal(k, n, rng)
-		return MulSparse(a, b).Equal(Mul(a, b))
+		return MulSparseInto(New(m, n), a, b).Equal(Mul(a, b))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
@@ -347,15 +332,19 @@ func TestQuickProximalIntoMatchBitForBit(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		a := quickMatrix(rng, 8)
 		tau := rng.Float64() * 2
-		if !SVTInto(New(a.rows, a.cols), a, tau).Equal(SVT(a, tau)) {
+		// A reused destination holding stale values gives the bits a
+		// fresh one does.
+		stale := func() *Dense { return RandomNormal(a.rows, a.cols, rng) }
+		if !SVTInto(stale(), a, tau).Equal(svt(a, tau)) {
 			return false
 		}
-		if !ShrinkColumns21Into(New(a.rows, a.cols), a, tau).Equal(ShrinkColumns21(a, tau)) {
+		shrunk := ShrinkColumns21Into(New(a.rows, a.cols), a, tau)
+		if !ShrinkColumns21Into(stale(), a, tau).Equal(shrunk) {
 			return false
 		}
 		// Documented aliasing: ShrinkColumns21Into dst == a.
 		alias := a.Clone()
-		return ShrinkColumns21Into(alias, alias, tau).Equal(ShrinkColumns21(a, tau))
+		return ShrinkColumns21Into(alias, alias, tau).Equal(shrunk)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -415,10 +404,16 @@ func TestQuickFactorIntoReuseMatchesFresh(t *testing.T) {
 				return false
 			}
 		}
-		// Matrix SolveInto against column-wise Solve.
+		// Matrix SolveInto against column-wise SolveVec.
 		bm := RandomNormal(n, 2+rng.Intn(4), rng)
-		if !reused.SolveInto(New(bm.rows, bm.cols), bm).Equal(fresh.Solve(bm)) {
-			return false
+		got := reused.SolveInto(New(bm.rows, bm.cols), bm)
+		for j := 0; j < bm.cols; j++ {
+			x := fresh.SolveVec(bm.Col(j))
+			for i := range x {
+				if got.At(i, j) != x[i] {
+					return false
+				}
+			}
 		}
 
 		var lu LU
@@ -546,20 +541,6 @@ func TestQuickQRCPWorkspaceMatches(t *testing.T) {
 			}
 		}
 		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestQuickQRCPRankMatchesSVDRank(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		m := 2 + rng.Intn(6)
-		n := 2 + rng.Intn(10)
-		r := 1 + rng.Intn(minInt(m, n))
-		a := Mul(RandomNormal(m, r, rng), RandomNormal(r, n, rng))
-		return FactorQRCP(a).Rank(1e-8) == Rank(a, 1e-8)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

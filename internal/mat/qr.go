@@ -224,24 +224,6 @@ func FactorQRCPWorkspace(ws *Workspace, a *Dense) *QRCP {
 	return &QRCP{Perm: perm, RDiag: rdiag, NumRows: m, NumCols: n}
 }
 
-// Rank estimates the numerical rank using a relative tolerance on the
-// R diagonal. A tol of 0 selects a default relative tolerance.
-func (f *QRCP) Rank(tol float64) int {
-	if len(f.RDiag) == 0 || f.RDiag[0] == 0 {
-		return 0
-	}
-	if tol <= 0 {
-		tol = 1e-10 * float64(maxInt(f.NumRows, f.NumCols))
-	}
-	r := 0
-	for _, d := range f.RDiag {
-		if d > tol*f.RDiag[0] {
-			r++
-		}
-	}
-	return r
-}
-
 // IndependentCols returns the indices (in original column numbering) of
 // the k most independent columns discovered by the pivoting.
 func (f *QRCP) IndependentCols(k int) []int {

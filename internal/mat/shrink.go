@@ -2,17 +2,6 @@ package mat
 
 import "math"
 
-// SVT applies singular value thresholding: the proximal operator of the
-// nuclear norm. It returns U * max(S - tau, 0) * Vᵀ, the solution of
-//
-//	argmin_X  tau*||X||_* + 1/2*||X - a||_F²
-//
-// which is the J-subproblem of the inexact-ALM solver for low-rank
-// representation (Eqn 12 of the paper).
-func SVT(a *Dense, tau float64) *Dense {
-	return SVTInto(New(a.rows, a.cols), a, tau)
-}
-
 // SVTInto writes the singular value thresholding of a into dst. dst must
 // not alias a. The SVD itself still allocates; only the reconstruction
 // reuses dst.
@@ -44,14 +33,6 @@ func SVTInto(dst, a *Dense, tau float64) *Dense {
 	return dst
 }
 
-// ShrinkColumns21 applies the proximal operator of tau*||.||_{2,1}: each
-// column c of a is scaled by max(0, 1 - tau/||c||₂). Columns with norm
-// below tau collapse to zero. This is the E-subproblem of the inexact-ALM
-// solver for low-rank representation.
-func ShrinkColumns21(a *Dense, tau float64) *Dense {
-	return ShrinkColumns21Into(New(a.rows, a.cols), a, tau)
-}
-
 // ShrinkColumns21Into writes the column-wise l2,1 shrinkage of a into
 // dst. dst may alias a.
 func ShrinkColumns21Into(dst, a *Dense, tau float64) *Dense {
@@ -75,19 +56,4 @@ func ShrinkColumns21Into(dst, a *Dense, tau float64) *Dense {
 		}
 	}
 	return dst
-}
-
-// SoftThreshold applies element-wise soft thresholding
-// sign(v) * max(|v| - tau, 0), the proximal operator of the l1 norm.
-func SoftThreshold(a *Dense, tau float64) *Dense {
-	out := New(a.rows, a.cols)
-	for i, v := range a.data {
-		switch {
-		case v > tau:
-			out.data[i] = v - tau
-		case v < -tau:
-			out.data[i] = v + tau
-		}
-	}
-	return out
 }

@@ -6,9 +6,12 @@ import (
 	"testing"
 )
 
+// svt is SVTInto into a fresh destination.
+func svt(a *Dense, tau float64) *Dense { return SVTInto(New(a.rows, a.cols), a, tau) }
+
 func TestSVTShrinksSingularValues(t *testing.T) {
 	a := Diagonal([]float64{5, 3, 1})
-	out := SVT(a, 2)
+	out := svt(a, 2)
 	s := SingularValues(out)
 	want := []float64{3, 1, 0}
 	for i := range want {
@@ -21,7 +24,7 @@ func TestSVTShrinksSingularValues(t *testing.T) {
 func TestSVTZeroTauIsIdentityOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	a := Random(4, 6, rng)
-	if !SVT(a, 0).EqualApprox(a, 1e-9) {
+	if !svt(a, 0).EqualApprox(a, 1e-9) {
 		t.Error("SVT(A, 0) != A")
 	}
 }
@@ -30,7 +33,7 @@ func TestSVTLargeTauGivesZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	a := Random(4, 6, rng)
 	s := SingularValues(a)
-	out := SVT(a, s[0]+1)
+	out := svt(a, s[0]+1)
 	if FrobeniusNorm(out) > 1e-12 {
 		t.Error("SVT with tau > s_max is not zero")
 	}
@@ -42,9 +45,9 @@ func TestSVTIsProximalMinimizer(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	a := Random(5, 5, rng)
 	const tau = 0.3
-	x := SVT(a, tau)
+	x := svt(a, tau)
 	obj := func(m *Dense) float64 {
-		return tau*NuclearNorm(m) + 0.5*FrobeniusNormSq(SubM(m, a))
+		return tau*nuclearNorm(m) + 0.5*FrobeniusNormSq(SubM(m, a))
 	}
 	base := obj(x)
 	for trial := 0; trial < 10; trial++ {
@@ -60,7 +63,7 @@ func TestShrinkColumns21(t *testing.T) {
 		{3, 0.1},
 		{4, 0.1},
 	})
-	out := ShrinkColumns21(a, 1)
+	out := ShrinkColumns21Into(New(a.rows, a.cols), a, 1)
 	// Column 0 has norm 5 -> scaled by 4/5. Column 1 has norm ~0.141 < 1 -> zero.
 	if math.Abs(out.At(0, 0)-2.4) > 1e-12 || math.Abs(out.At(1, 0)-3.2) > 1e-12 {
 		t.Errorf("column 0 = (%v, %v), want (2.4, 3.2)", out.At(0, 0), out.At(1, 0))
@@ -73,7 +76,7 @@ func TestShrinkColumns21(t *testing.T) {
 func TestShrinkColumns21NormReduction(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	a := Random(6, 8, rng)
-	out := ShrinkColumns21(a, 0.2)
+	out := ShrinkColumns21Into(New(a.rows, a.cols), a, 0.2)
 	inNorms := ColNorms(a)
 	outNorms := ColNorms(out)
 	for j := range inNorms {
@@ -84,15 +87,6 @@ func TestShrinkColumns21NormReduction(t *testing.T) {
 		if math.Abs(outNorms[j]-wantNorm) > 1e-10 {
 			t.Errorf("col %d: norm %v, want %v", j, outNorms[j], wantNorm)
 		}
-	}
-}
-
-func TestSoftThreshold(t *testing.T) {
-	a := NewFromRows([][]float64{{2, -2}, {0.5, -0.5}})
-	out := SoftThreshold(a, 1)
-	want := NewFromRows([][]float64{{1, -1}, {0, 0}})
-	if !out.EqualApprox(want, 1e-14) {
-		t.Errorf("SoftThreshold =\n%vwant\n%v", out, want)
 	}
 }
 
@@ -108,25 +102,4 @@ func TestToeplitzBandMatchesPaperH(t *testing.T) {
 	if !h.Equal(want) {
 		t.Errorf("H =\n%vwant\n%v", h, want)
 	}
-}
-
-func TestToeplitzGeneral(t *testing.T) {
-	m := Toeplitz([]float64{1, 2, 3}, []float64{1, 4, 5})
-	want := NewFromRows([][]float64{
-		{1, 4, 5},
-		{2, 1, 4},
-		{3, 2, 1},
-	})
-	if !m.Equal(want) {
-		t.Errorf("Toeplitz =\n%vwant\n%v", m, want)
-	}
-}
-
-func TestToeplitzPanicsOnCornerMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("Toeplitz with mismatched corner did not panic")
-		}
-	}()
-	Toeplitz([]float64{1, 2}, []float64{3, 4})
 }

@@ -127,63 +127,6 @@ func SingularValues(a *Dense) []float64 {
 	return FactorSVD(a).S
 }
 
-// Rank returns the numerical rank of a: the number of singular values
-// above tol * s_max. A tol of 0 selects a default relative tolerance.
-func Rank(a *Dense, tol float64) int {
-	s := SingularValues(a)
-	if len(s) == 0 || s[0] == 0 {
-		return 0
-	}
-	if tol <= 0 {
-		tol = 1e-10 * float64(maxInt(a.rows, a.cols))
-	}
-	r := 0
-	for _, v := range s {
-		if v > tol*s[0] {
-			r++
-		}
-	}
-	return r
-}
-
-// Cond returns the 2-norm condition number s_max / s_min of a.
-// It returns +Inf when the smallest singular value is zero.
-func Cond(a *Dense) float64 {
-	s := SingularValues(a)
-	if s[len(s)-1] == 0 {
-		return math.Inf(1)
-	}
-	return s[0] / s[len(s)-1]
-}
-
-// TruncatedSVD returns the best rank-k approximation of a:
-// sum of the k leading singular triplets.
-func TruncatedSVD(a *Dense, k int) *Dense {
-	f := FactorSVD(a)
-	if k > len(f.S) {
-		k = len(f.S)
-	}
-	out := New(a.rows, a.cols)
-	for t := 0; t < k; t++ {
-		if f.S[t] == 0 {
-			break
-		}
-		ut := f.U.Col(t)
-		vt := f.V.Col(t)
-		for i := 0; i < a.rows; i++ {
-			if ut[i] == 0 {
-				continue
-			}
-			scale := f.S[t] * ut[i]
-			row := out.data[i*a.cols : (i+1)*a.cols]
-			for j := 0; j < a.cols; j++ {
-				row[j] += scale * vt[j]
-			}
-		}
-	}
-	return out
-}
-
 // Reconstruct rebuilds U * diag(S) * Vᵀ from the decomposition.
 func (d *SVD) Reconstruct() *Dense {
 	us := d.U.Clone()

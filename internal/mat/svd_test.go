@@ -74,67 +74,24 @@ func TestSVDMatchesFrobenius(t *testing.T) {
 	}
 }
 
-func TestRankExactLowRank(t *testing.T) {
-	rng := rand.New(rand.NewSource(25))
-	tests := []struct {
-		m, n, r int
-	}{
-		{8, 94, 3}, {8, 94, 8}, {10, 10, 1}, {6, 72, 5},
-	}
-	for _, tt := range tests {
-		l := Random(tt.m, tt.r, rng)
-		r := Random(tt.r, tt.n, rng)
-		a := Mul(l, r)
-		if got := Rank(a, 1e-8); got != tt.r {
-			t.Errorf("Rank(%dx%d rank-%d) = %d", tt.m, tt.n, tt.r, got)
-		}
-	}
-}
-
-func TestTruncatedSVDIsBestApproximation(t *testing.T) {
-	// Eckart-Young: error of the rank-k truncation equals
-	// sqrt(sum of squared discarded singular values).
-	rng := rand.New(rand.NewSource(26))
-	a := Random(6, 10, rng)
+// svdRank counts the singular values of a above tol * s_max: the
+// numerical rank, as an oracle for rank-revealing factorizations.
+func svdRank(a *Dense, tol float64) int {
 	s := SingularValues(a)
-	for k := 1; k < 6; k++ {
-		ak := TruncatedSVD(a, k)
-		var wantSq float64
-		for _, v := range s[k:] {
-			wantSq += v * v
-		}
-		got := FrobeniusNorm(SubM(a, ak))
-		if math.Abs(got-math.Sqrt(wantSq)) > 1e-9 {
-			t.Errorf("k=%d: ||A-Ak|| = %v, want %v", k, got, math.Sqrt(wantSq))
+	r := 0
+	for _, v := range s {
+		if v > tol*s[0] {
+			r++
 		}
 	}
+	return r
 }
 
-func TestTruncatedSVDFullRankIsExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(27))
-	a := Random(4, 7, rng)
-	if !TruncatedSVD(a, 10).EqualApprox(a, 1e-9) {
-		t.Error("full-rank truncation != A")
+// nuclearNorm sums the singular values of m.
+func nuclearNorm(m *Dense) float64 {
+	var s float64
+	for _, v := range SingularValues(m) {
+		s += v
 	}
-}
-
-func TestCond(t *testing.T) {
-	if got := Cond(Identity(4)); math.Abs(got-1) > 1e-12 {
-		t.Errorf("Cond(I) = %v, want 1", got)
-	}
-	a := Diagonal([]float64{10, 1, 0.1})
-	if got := Cond(a); math.Abs(got-100) > 1e-9 {
-		t.Errorf("Cond = %v, want 100", got)
-	}
-	sing := NewFromRows([][]float64{{1, 1}, {1, 1}})
-	if got := Cond(sing); !math.IsInf(got, 1) {
-		t.Errorf("Cond(singular) = %v, want +Inf", got)
-	}
-}
-
-func TestNuclearNorm(t *testing.T) {
-	a := Diagonal([]float64{3, 2, 1})
-	if got := NuclearNorm(a); math.Abs(got-6) > 1e-10 {
-		t.Errorf("NuclearNorm = %v, want 6", got)
-	}
+	return s
 }

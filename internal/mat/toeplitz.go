@@ -1,28 +1,5 @@
 package mat
 
-// Toeplitz returns the n x n Toeplitz matrix whose first column is col and
-// whose first row is row. col[0] must equal row[0].
-func Toeplitz(col, row []float64) *Dense {
-	if len(col) == 0 || len(row) == 0 || col[0] != row[0] {
-		panic("mat: Toeplitz requires non-empty col/row with matching corner")
-	}
-	n := len(col)
-	if len(row) != n {
-		panic("mat: Toeplitz requires equal col and row lengths")
-	}
-	m := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i >= j {
-				m.data[i*n+j] = col[i-j]
-			} else {
-				m.data[i*n+j] = row[j-i]
-			}
-		}
-	}
-	return m
-}
-
 // ToeplitzBand returns the n x n banded Toeplitz matrix with the given
 // sub-diagonal, diagonal and super-diagonal constants. The paper's
 // similarity matrix H = Toeplitz(-1, 1, 0) (Eqn 17) is

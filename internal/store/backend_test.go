@@ -119,7 +119,7 @@ func TestBackendContract(t *testing.T) {
 // same observable behavior, including bit-identical log bytes between
 // the directory and memory backends.
 func TestBackendStoreParity(t *testing.T) {
-	layout := Layout{HeaderLen: 4, ChunkSize: 64}
+	layout := chunkLayout{headerLen: 4, chunkSize: 64}
 	payload := func(v uint64, hot byte) []byte {
 		p := make([]byte, 4+8*64)
 		p[0] = byte(v)
@@ -135,13 +135,7 @@ func TestBackendStoreParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		for v := uint64(2); v <= 5; v++ {
-			kind, err := s.AppendDelta(v, payload(v, byte(v)), layout)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if v > 1 && kind != KindDelta {
-				t.Fatalf("v%d stored as %v, want delta", v, kind)
-			}
+			appendDelta(t, s, v, payload(v, byte(v)), layout)
 		}
 		if err := s.SaveState("mon", []byte("calibrated")); err != nil {
 			t.Fatal(err)

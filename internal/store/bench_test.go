@@ -34,55 +34,6 @@ func BenchmarkStoreAppendLoad(b *testing.B) {
 	}
 }
 
-// BenchmarkStoreAppendDelta measures one durable low-cost publish: an
-// office-sized snapshot (33-byte header + 96 columns of 64 bytes) in
-// which ~10% of the columns changed versus the previous version,
-// appended through the delta path. Most iterations write a ~700-byte
-// iUPD record instead of the ~6 KiB full payload (every MaxChain-th
-// append re-anchors with a full record). fsync dominates wall time; the
-// regression metric is allocs/op — budget <= 8 (~1-3 measured
-// depending on iteration count: the framed record plus changed-index
-// scratch, with cache/index growth amortizing), enforced by
-// scripts/bench.sh.
-func BenchmarkStoreAppendDelta(b *testing.B) {
-	s, err := Open(b.TempDir(), Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer s.Close()
-	layout := Layout{HeaderLen: 33, ChunkSize: 8 * 8}
-	payload := make([]byte, layout.HeaderLen+96*layout.ChunkSize)
-	for i := 0; i+8 <= len(payload); i += 8 {
-		binary.LittleEndian.PutUint64(payload[i:], uint64(i)*0x9E3779B97F4A7C15)
-	}
-	if _, err := s.AppendDelta(1, payload, layout); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// Perturb ~10% of the columns (a different set each round).
-		for c := 0; c < 9; c++ {
-			off := layout.HeaderLen + ((i*9+c)%96)*layout.ChunkSize
-			binary.LittleEndian.PutUint64(payload[off:], uint64(i+c)|1)
-		}
-		if _, err := s.AppendDelta(uint64(i+2), payload, layout); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	// Sanity: the run must actually have exercised the delta path.
-	var deltas int
-	for _, r := range s.Records() {
-		if r.Kind == KindDelta {
-			deltas++
-		}
-	}
-	if b.N > 1 && deltas == 0 {
-		b.Fatal("no delta records were written")
-	}
-}
-
 // BenchmarkReplicaApply measures the follower side of replication:
 // applying a pre-framed delta record (office-sized snapshot, ~10% of
 // columns changed) to a Replay. The delta patches the materialized
@@ -91,8 +42,8 @@ func BenchmarkStoreAppendDelta(b *testing.B) {
 // the occasional map/slice growth inside the CRC table lookup paths),
 // enforced by scripts/bench.sh.
 func BenchmarkReplicaApply(b *testing.B) {
-	layout := Layout{HeaderLen: 33, ChunkSize: 8 * 8}
-	base := make([]byte, layout.HeaderLen+96*layout.ChunkSize)
+	layout := chunkLayout{headerLen: 33, chunkSize: 8 * 8}
+	base := make([]byte, layout.headerLen+96*layout.chunkSize)
 	for i := 0; i+8 <= len(base); i += 8 {
 		binary.LittleEndian.PutUint64(base[i:], uint64(i)*0x9E3779B97F4A7C15)
 	}
@@ -107,7 +58,7 @@ func BenchmarkReplicaApply(b *testing.B) {
 	prev := append([]byte(nil), base...)
 	for k := 0; k < ring; k++ {
 		for c := 0; c < 9; c++ {
-			off := layout.HeaderLen + ((k*9+c)%96)*layout.ChunkSize
+			off := layout.headerLen + ((k*9+c)%96)*layout.chunkSize
 			binary.LittleEndian.PutUint64(cur[off:], uint64(k+c)|1)
 		}
 		frame := encodeDeltaRecord(uint64(k+2), cur, prev, uint64(k+1), layout)

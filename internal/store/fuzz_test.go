@@ -50,25 +50,16 @@ func FuzzStoreOpen(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	layout := Layout{HeaderLen: 7, ChunkSize: 24}
-	payload := bytes.Repeat([]byte{0x11}, layout.HeaderLen+12*layout.ChunkSize)
-	if _, err := cs.AppendDelta(1, payload, layout); err != nil {
+	layout := chunkLayout{headerLen: 7, chunkSize: 24}
+	payload := bytes.Repeat([]byte{0x11}, layout.headerLen+12*layout.chunkSize)
+	if err := cs.Append(1, payload); err != nil {
 		f.Fatal(err)
 	}
-	var firstRecLen int64
+	firstRecLen := cs.size
 	for v := uint64(2); v <= 4; v++ {
-		if v == 2 {
-			firstRecLen = cs.size
-		}
 		payload = bytes.Clone(payload)
-		payload[layout.HeaderLen+int(v)*layout.ChunkSize] = byte(v)
-		kind, err := cs.AppendDelta(v, payload, layout)
-		if err != nil {
-			f.Fatal(err)
-		}
-		if kind != KindDelta {
-			f.Fatalf("seed chain record v%d is %v, want delta", v, kind)
-		}
+		payload[layout.headerLen+int(v)*layout.chunkSize] = byte(v)
+		appendDelta(f, cs, v, payload, layout)
 	}
 	cs.Close()
 	chain, err := os.ReadFile(filepath.Join(chainDir, logName))
@@ -112,17 +103,15 @@ func FuzzStoreOpen(f *testing.F) {
 				t.Fatalf("At(%d) on recovered store: %v", v, err)
 			}
 		}
-		// The recovered store accepts appends: a full record, then a
-		// delta-path append (which must materialize the recovered tail
-		// to diff against, whatever shape recovery left).
+		// The recovered store accepts appends, and a delta over the new
+		// tail still materializes.
 		next := s.LastVersion() + 1
-		if err := s.Append(next, []byte("post-recovery record")); err != nil {
+		if err := s.Append(next, bytes.Repeat([]byte{0x33}, 160)); err != nil {
 			t.Fatalf("Append after recovery: %v", err)
 		}
 		dp := bytes.Repeat([]byte{0x33}, 160)
-		if _, err := s.AppendDelta(next+1, dp, Layout{HeaderLen: 0, ChunkSize: 16}); err != nil {
-			t.Fatalf("AppendDelta after recovery: %v", err)
-		}
+		dp[17] = 0x44
+		appendDelta(t, s, next+1, dp, chunkLayout{headerLen: 0, chunkSize: 16})
 		if got, err := s.At(next + 1); err != nil || !bytes.Equal(got, dp) {
 			t.Fatalf("At(%d) after post-recovery delta append: %v", next+1, err)
 		}

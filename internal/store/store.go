@@ -28,15 +28,11 @@
 //	24+H    C*(4+S)    changed chunks, ascending: chunk index (uint32
 //	                   LE) followed by the chunk's S bytes
 //
-// At and Latest materialize a delta record by resolving its chain back
-// to the nearest full record and replaying the deltas in order; callers
-// always see the complete payload, whichever kind is on disk. Append
-// always writes a full record; AppendDelta diffs the new payload
-// against the previous record under a caller-supplied chunk Layout and
-// writes whichever kind is smaller — a delta is only written when the
-// chain stays within Options.MaxChain records of the base full record
-// and the delta is at most half the full payload, so chains stay short
-// and a bounded number of reads materializes any version.
+// Append writes full records only. Delta records are still read: logs
+// written by earlier versions of this package hold them, and At and
+// Latest materialize one by resolving its chain back to the nearest
+// full record and replaying the deltas in order, so callers always see
+// the complete payload, whichever kind is on disk.
 //
 // Appends write one record with a single write(2) followed by fsync, so
 // a crash leaves at most one torn record at the tail. Open scans the log
@@ -49,7 +45,7 @@
 // delta is only valid over its predecessor, truncating a chain's base
 // automatically drops the dependent deltas with it.
 //
-// Compaction (retention) rewrites the retained suffix of records to a
+// Compaction (retention) copies the retained suffix of records to a
 // temp file in the same directory, fsyncs it, and atomically renames it
 // over the log, so readers of the directory never observe a partially
 // compacted log. When the retained suffix would start with a delta
@@ -64,7 +60,6 @@
 package store
 
 import (
-	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -85,9 +80,6 @@ const (
 	// maxPayload bounds a single record (1 GiB); a length field beyond it
 	// is treated as corruption rather than attempted as an allocation.
 	maxPayload = 1 << 30
-	// defaultMaxChain bounds how many delta records may follow a full
-	// record when Options.MaxChain is zero.
-	defaultMaxChain = 16
 
 	logName = "snapshots.log"
 )
@@ -103,7 +95,7 @@ const (
 	// KindFull is a complete snapshot payload.
 	KindFull Kind = iota
 	// KindDelta encodes only the chunks changed versus the preceding
-	// record.
+	// record. Only logs written by earlier versions hold them.
 	KindDelta
 )
 
@@ -113,15 +105,6 @@ func (k Kind) String() string {
 		return "delta"
 	}
 	return "full"
-}
-
-// Layout tells AppendDelta how a payload tiles into diffable chunks: a
-// fixed HeaderLen-byte prefix followed by equal ChunkSize-byte chunks
-// (for fingerprint snapshots, one chunk per column). The layout must
-// tile the payload exactly.
-type Layout struct {
-	HeaderLen int
-	ChunkSize int
 }
 
 // Options configures a Store.
@@ -134,13 +117,6 @@ type Options struct {
 	// NoSync skips fsync after writes. Only for tests and benchmarks
 	// that measure the in-memory path; durability requires the default.
 	NoSync bool
-	// MaxChain bounds how many consecutive delta records AppendDelta
-	// may stack on one full record before forcing a full record (so
-	// materializing any version reads at most MaxChain+1 records).
-	// 0 selects the default (16); negative disables delta records —
-	// AppendDelta then always writes full records. Recovery accepts
-	// whatever chain lengths are already on disk regardless.
-	MaxChain int
 }
 
 type indexEntry struct {
@@ -170,15 +146,6 @@ type Store struct {
 	f    File
 	size int64
 	idx  []indexEntry
-	// last caches the newest record's materialized payload so
-	// AppendDelta can diff without re-reading the chain. nil after Open;
-	// populated lazily on the first delta-eligible append and kept
-	// current by every append.
-	last []byte
-	// layout remembers the most recent AppendDelta layout so compaction
-	// can re-delta the retained suffix with the same chunking.
-	layout   Layout
-	layoutOK bool
 	// compactions counts log rewrites that actually dropped history
 	// this store life (manual Compact and the automatic post-append
 	// policy alike); no-op calls don't count.
@@ -217,18 +184,6 @@ func OpenBackend(b Backend, opts Options) (*Store, error) {
 		}
 	}
 	return s, nil
-}
-
-// maxChain resolves the configured delta chain bound.
-func (s *Store) maxChain() int {
-	switch {
-	case s.opts.MaxChain > 0:
-		return s.opts.MaxChain
-	case s.opts.MaxChain < 0:
-		return 0
-	default:
-		return defaultMaxChain
-	}
 }
 
 // recover scans the log, building the index from the longest valid
@@ -370,34 +325,6 @@ func frameRecord(magic uint32, version uint64, payload []byte) []byte {
 	return rec
 }
 
-// writeRecordLocked durably appends one framed record and indexes it.
-// e.off is filled in here. s.mu must be held.
-func (s *Store) writeRecordLocked(rec []byte, e indexEntry) error {
-	if _, err := s.f.WriteAt(rec, s.size); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if !s.opts.NoSync {
-		if err := s.f.Sync(); err != nil {
-			return fmt.Errorf("store: %w", err)
-		}
-	}
-	e.off = s.size
-	s.idx = append(s.idx, e)
-	s.size += int64(len(rec))
-	return nil
-}
-
-// appendChecksLocked validates the common append preconditions.
-func (s *Store) appendChecksLocked(version uint64) error {
-	if s.f == nil {
-		return errors.New("store: closed")
-	}
-	if last := s.lastVersionLocked(); version <= last {
-		return fmt.Errorf("store: version %d is not after the latest stored version %d", version, last)
-	}
-	return nil
-}
-
 // Append durably writes one full record. version must be strictly
 // greater than the last stored version (the store never rewrites
 // history). The record is on disk (written and fsynced) when Append
@@ -408,145 +335,25 @@ func (s *Store) Append(version uint64, payload []byte) error {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.appendChecksLocked(version); err != nil {
-		return err
+	if s.f == nil {
+		return errors.New("store: closed")
 	}
-	err := s.writeRecordLocked(frameRecord(recordMagic, version, payload),
-		indexEntry{version: version, plen: uint32(len(payload)), kind: KindFull, mlen: uint32(len(payload))})
-	if err != nil {
-		return err
+	if last := s.lastVersionLocked(); version <= last {
+		return fmt.Errorf("store: version %d is not after the latest stored version %d", version, last)
 	}
-	s.cacheLastLocked(payload)
+	rec := frameRecord(recordMagic, version, payload)
+	if _, err := s.f.WriteAt(rec, s.size); err != nil {
+		return fmt.Errorf("store: %w", err)
+	}
+	if !s.opts.NoSync {
+		if err := s.f.Sync(); err != nil {
+			return fmt.Errorf("store: %w", err)
+		}
+	}
+	s.idx = append(s.idx, indexEntry{version: version, off: s.size, plen: uint32(len(payload)), kind: KindFull, mlen: uint32(len(payload))})
+	s.size += int64(len(rec))
 	s.maybeCompactLocked()
 	return nil
-}
-
-// cacheLastLocked keeps s.last current with the newest appended payload
-// so the next AppendDelta can diff in memory. With delta records
-// disabled the cache would never be read, so skip the copy (and avoid
-// pinning a payload-sized buffer for the store's lifetime).
-func (s *Store) cacheLastLocked(payload []byte) {
-	if s.maxChain() > 0 {
-		s.last = append(s.last[:0], payload...)
-	}
-}
-
-// AppendDelta durably writes the payload as a delta record against the
-// previous retained version when that is cheaper, and as a full record
-// otherwise: on the first record, when delta records are disabled, when
-// the chain behind the tail has reached MaxChain, when the previous
-// payload has a different length (so the layout cannot line up), or
-// when the encoded delta would exceed half the full payload. Either
-// way the caller's payload is what later reads return; the returned
-// Kind reports what hit the disk.
-func (s *Store) AppendDelta(version uint64, payload []byte, layout Layout) (Kind, error) {
-	if len(payload) > maxPayload {
-		return KindFull, fmt.Errorf("store: payload of %d bytes exceeds the %d-byte record bound", len(payload), maxPayload)
-	}
-	if layout.ChunkSize <= 0 || layout.HeaderLen < 0 || layout.HeaderLen > len(payload) ||
-		(len(payload)-layout.HeaderLen)%layout.ChunkSize != 0 {
-		return KindFull, fmt.Errorf("store: layout %+v does not tile a %d-byte payload", layout, len(payload))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if err := s.appendChecksLocked(version); err != nil {
-		return KindFull, err
-	}
-	s.layout, s.layoutOK = layout, true
-	kind := KindFull
-	rec := s.encodeDeltaLocked(version, payload, layout)
-	if rec != nil {
-		kind = KindDelta
-	} else {
-		rec = frameRecord(recordMagic, version, payload)
-	}
-	err := s.writeRecordLocked(rec, indexEntry{
-		version: version,
-		plen:    uint32(len(rec) - headerSize),
-		kind:    kind,
-		mlen:    uint32(len(payload)),
-	})
-	if err != nil {
-		return KindFull, err
-	}
-	s.cacheLastLocked(payload)
-	s.maybeCompactLocked()
-	return kind, nil
-}
-
-// encodeDeltaLocked diffs payload against the newest record and returns
-// a framed delta record, or nil when a full record must be written
-// instead (no predecessor, deltas disabled, chain at its bound, length
-// mismatch, stale cache unrecoverable, or the delta too large).
-func (s *Store) encodeDeltaLocked(version uint64, payload []byte, layout Layout) []byte {
-	max := s.maxChain()
-	if max <= 0 || len(s.idx) == 0 {
-		return nil
-	}
-	chain := 0
-	for i := len(s.idx) - 1; i >= 0 && s.idx[i].kind == KindDelta; i-- {
-		chain++
-	}
-	if chain >= max {
-		return nil
-	}
-	if s.last == nil {
-		// First delta-eligible append of this store life: materialize
-		// the predecessor once. If its bytes have rotted since Open, a
-		// full record keeps the append safe.
-		prev, err := s.readChainLocked(len(s.idx) - 1)
-		if err != nil {
-			return nil
-		}
-		s.last = prev
-	}
-	return encodeDeltaRecord(version, payload, s.last, s.idx[len(s.idx)-1].version, layout)
-}
-
-// encodeDeltaRecord diffs payload against prev (the materialized payload
-// of baseVersion) under the layout and returns a complete framed delta
-// record, or nil when a delta is not worthwhile: the lengths differ, the
-// layout does not tile the payload, or the encoded delta would exceed
-// half the full payload.
-func encodeDeltaRecord(version uint64, payload, prev []byte, baseVersion uint64, layout Layout) []byte {
-	hlen, chunk := layout.HeaderLen, layout.ChunkSize
-	if len(prev) != len(payload) || chunk <= 0 || hlen < 0 || hlen > len(payload) ||
-		(len(payload)-hlen)%chunk != 0 {
-		return nil
-	}
-	nchunks := (len(payload) - hlen) / chunk
-	changed := make([]int, 0, nchunks)
-	for k := 0; k < nchunks; k++ {
-		if !bytes.Equal(payload[hlen+k*chunk:hlen+(k+1)*chunk], prev[hlen+k*chunk:hlen+(k+1)*chunk]) {
-			changed = append(changed, k)
-		}
-	}
-	deltaLen := deltaHeaderSize + hlen + len(changed)*(4+chunk)
-	if 2*deltaLen > len(payload) {
-		return nil
-	}
-	rec := make([]byte, headerSize+deltaLen)
-	buf := rec[headerSize:]
-	binary.LittleEndian.PutUint64(buf[0:8], baseVersion)
-	binary.LittleEndian.PutUint32(buf[8:12], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[12:16], uint32(hlen))
-	binary.LittleEndian.PutUint32(buf[16:20], uint32(chunk))
-	binary.LittleEndian.PutUint32(buf[20:24], uint32(len(changed)))
-	copy(buf[deltaHeaderSize:], payload[:hlen])
-	p := deltaHeaderSize + hlen
-	for _, k := range changed {
-		binary.LittleEndian.PutUint32(buf[p:], uint32(k))
-		copy(buf[p+4:], payload[hlen+k*chunk:hlen+(k+1)*chunk])
-		p += 4 + chunk
-	}
-	binary.LittleEndian.PutUint32(rec[0:4], deltaMagic)
-	binary.LittleEndian.PutUint64(rec[4:12], version)
-	binary.LittleEndian.PutUint32(rec[12:16], uint32(deltaLen))
-	h := crc32.NewIEEE()
-	h.Write(rec[4:16])
-	h.Write(buf)
-	binary.LittleEndian.PutUint32(rec[16:20], h.Sum32())
-	return rec
 }
 
 // maybeCompactLocked runs the auto-triggered retention compaction.
@@ -628,20 +435,11 @@ func (s *Store) readChainLocked(i int) ([]byte, error) {
 // snapshot — use readChainLocked for that). Re-checking the CRC on
 // every read catches bytes that rotted after Open.
 func (s *Store) readLocked(e indexEntry) ([]byte, error) {
-	if s.f == nil {
-		return nil, errors.New("store: closed")
+	frame, err := s.readFrameLocked(e)
+	if err != nil {
+		return nil, err
 	}
-	buf := make([]byte, headerSize+int64(e.plen))
-	if _, err := s.f.ReadAt(buf, e.off); err != nil {
-		return nil, fmt.Errorf("store: reading version %d: %w", e.version, err)
-	}
-	h := crc32.NewIEEE()
-	h.Write(buf[4:16])
-	h.Write(buf[headerSize:])
-	if h.Sum32() != binary.LittleEndian.Uint32(buf[16:20]) {
-		return nil, fmt.Errorf("store: version %d failed its checksum", e.version)
-	}
-	return buf[headerSize:], nil
+	return frame[headerSize:], nil
 }
 
 // Versions returns the retained versions in ascending order.
@@ -702,22 +500,17 @@ func (s *Store) Compact() error {
 	return s.compactLocked()
 }
 
-// compactLocked rewrites the retained suffix to a temp file and renames
-// it over the log. The suffix is re-encoded against its new history, not
-// copied verbatim: the first retained version is always written as a
-// full record (its base may be about to drop), and every later version
-// is re-deltaed against its new predecessor under the usual chain-bound
-// and half-size rules — so a full record that was only forced by a
-// since-dropped chain shrinks back to a delta, and post-compaction disk
-// stays proportional to churn rather than to compaction history. On any
-// error the original log and index are kept.
+// compactLocked copies the retained suffix to a temp file and renames
+// it over the log. Records are copied as they are, except that a suffix
+// starting with a delta record (its base about to drop) is rebased: the
+// first retained version is materialized and written as a full record,
+// and the deltas after it resolve against it unchanged. On any error
+// the original log and index are kept.
 func (s *Store) compactLocked() error {
 	if s.opts.Retain <= 0 || len(s.idx) <= s.opts.Retain {
 		return nil
 	}
 	first := len(s.idx) - s.opts.Retain
-	keep := s.idx[first:]
-	layout, layoutOK := s.compactionLayoutLocked(keep)
 	tmpName := logName + ".tmp"
 	tmp, err := s.b.Create(tmpName)
 	if err != nil {
@@ -728,59 +521,26 @@ func (s *Store) compactLocked() error {
 		s.b.Remove(tmpName)
 		return fmt.Errorf("store: compacting: %w", err)
 	}
-	newIdx := make([]indexEntry, 0, len(keep))
+	newIdx := append([]indexEntry(nil), s.idx[first:]...)
 	var off int64
-	var prev []byte
-	var prevVersion uint64
-	chain := 0
-	for i, e := range keep {
-		// Materialize this version: the first via the existing chain
-		// resolution, later ones by advancing the running payload (a
-		// delta patches a copy of its predecessor, a full replaces it).
-		var cur []byte
-		if i == 0 {
-			cur, err = s.readChainLocked(first)
-			if err != nil {
-				return fail(err)
-			}
-		} else {
-			raw, err := s.readLocked(e)
-			if err != nil {
-				return fail(err)
-			}
-			if e.kind == KindDelta {
-				if !validDelta(raw, prevVersion, uint32(len(prev))) {
-					return fail(fmt.Errorf("version %d delta record no longer matches its base", e.version))
-				}
-				cur = append([]byte(nil), prev...)
-				applyDelta(cur, raw)
-			} else {
-				cur = raw
-			}
-		}
-		// Re-encode: first record full, the rest delta when the layout is
-		// known, the chain is within bound and the delta is worthwhile.
+	for i, e := range newIdx {
 		var rec []byte
-		kind := KindFull
-		if i > 0 && layoutOK && chain < s.maxChain() {
-			rec = encodeDeltaRecord(e.version, cur, prev, prevVersion, layout)
-		}
-		if rec != nil {
-			kind = KindDelta
-			chain++
-		} else {
-			rec = frameRecord(recordMagic, e.version, cur)
-			chain = 0
+		if i == 0 && e.kind == KindDelta {
+			payload, err := s.readChainLocked(first)
+			if err != nil {
+				return fail(err)
+			}
+			rec = frameRecord(recordMagic, e.version, payload)
+			e.kind = KindFull
+		} else if rec, err = s.readFrameLocked(e); err != nil {
+			return fail(err)
 		}
 		if _, err := tmp.WriteAt(rec, off); err != nil {
 			return fail(err)
 		}
-		newIdx = append(newIdx, indexEntry{
-			version: e.version, off: off, plen: uint32(len(rec) - headerSize),
-			kind: kind, mlen: uint32(len(cur)),
-		})
+		e.off, e.plen = off, uint32(len(rec)-headerSize)
+		newIdx[i] = e
 		off += int64(len(rec))
-		prev, prevVersion = cur, e.version
 	}
 	if !s.opts.NoSync {
 		if err := tmp.Sync(); err != nil {
@@ -802,32 +562,6 @@ func (s *Store) compactLocked() error {
 		}
 	}
 	return nil
-}
-
-// compactionLayoutLocked resolves the chunk layout compaction re-deltas
-// with: the layout of the latest AppendDelta when one happened this
-// store life, else the layout recorded inside a retained delta record
-// (a delta payload states its own header length and chunk size). A
-// store that never saw a delta has nothing to re-delta — compaction
-// then writes full records only.
-func (s *Store) compactionLayoutLocked(keep []indexEntry) (Layout, bool) {
-	if s.layoutOK {
-		return s.layout, true
-	}
-	for _, e := range keep {
-		if e.kind != KindDelta {
-			continue
-		}
-		raw, err := s.readLocked(e)
-		if err != nil || len(raw) < deltaHeaderSize {
-			continue
-		}
-		return Layout{
-			HeaderLen: int(binary.LittleEndian.Uint32(raw[12:16])),
-			ChunkSize: int(binary.LittleEndian.Uint32(raw[16:20])),
-		}, true
-	}
-	return Layout{}, false
 }
 
 // SaveState atomically replaces the named auxiliary state blob
@@ -929,6 +663,5 @@ func (s *Store) Close() error {
 	}
 	err := s.f.Close()
 	s.f = nil
-	s.last = nil
 	return err
 }

@@ -420,14 +420,14 @@ func TestStoreAppendSurvivesCompactionFailure(t *testing.T) {
 
 // deltaPayload builds a payload under layout {header, chunk} with the
 // given header byte pattern and per-chunk fill.
-func deltaPayload(layout Layout, nchunks int, header byte, fill func(chunk int) byte) []byte {
-	b := make([]byte, layout.HeaderLen+nchunks*layout.ChunkSize)
-	for i := 0; i < layout.HeaderLen; i++ {
+func deltaPayload(layout chunkLayout, nchunks int, header byte, fill func(chunk int) byte) []byte {
+	b := make([]byte, layout.headerLen+nchunks*layout.chunkSize)
+	for i := 0; i < layout.headerLen; i++ {
 		b[i] = header
 	}
 	for k := 0; k < nchunks; k++ {
 		v := fill(k)
-		chunk := b[layout.HeaderLen+k*layout.ChunkSize : layout.HeaderLen+(k+1)*layout.ChunkSize]
+		chunk := b[layout.headerLen+k*layout.chunkSize : layout.headerLen+(k+1)*layout.chunkSize]
 		for i := range chunk {
 			chunk[i] = v
 		}
@@ -437,17 +437,13 @@ func deltaPayload(layout Layout, nchunks int, header byte, fill func(chunk int) 
 
 func TestStoreDeltaRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	layout := Layout{HeaderLen: 5, ChunkSize: 32}
+	layout := chunkLayout{headerLen: 5, chunkSize: 32}
 	const nchunks = 40
 	s := open(t, dir, Options{})
 
 	base := deltaPayload(layout, nchunks, 1, func(int) byte { return 10 })
-	kind, err := s.AppendDelta(1, base, layout)
-	if err != nil {
+	if err := s.Append(1, base); err != nil {
 		t.Fatal(err)
-	}
-	if kind != KindFull {
-		t.Fatalf("first record kind %v, want full", kind)
 	}
 	// Three deltas, each changing 2 chunks over its predecessor.
 	want := [][]byte{base}
@@ -456,18 +452,12 @@ func TestStoreDeltaRoundTrip(t *testing.T) {
 		next := bytes.Clone(cur)
 		next[0] = byte(v) // header changes too
 		for _, k := range []int{int(v), int(v) + 7} {
-			chunk := next[layout.HeaderLen+k*layout.ChunkSize : layout.HeaderLen+(k+1)*layout.ChunkSize]
+			chunk := next[layout.headerLen+k*layout.chunkSize : layout.headerLen+(k+1)*layout.chunkSize]
 			for i := range chunk {
 				chunk[i] = byte(100 + v)
 			}
 		}
-		kind, err := s.AppendDelta(v, next, layout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kind != KindDelta {
-			t.Fatalf("v%d kind %v, want delta", v, kind)
-		}
+		appendDelta(t, s, v, next, layout)
 		want = append(want, next)
 		cur = next
 	}
@@ -505,129 +495,38 @@ func TestStoreDeltaRoundTrip(t *testing.T) {
 	}
 
 	// The chain survives a reopen bit-identically, and the reopened
-	// store keeps appending deltas (lazy cache materialization).
+	// store appends after it.
 	s.Close()
 	s2 := open(t, dir, Options{})
 	check(s2, "reopened")
 	next := bytes.Clone(want[3])
-	copy(next[layout.HeaderLen:layout.HeaderLen+layout.ChunkSize], bytes.Repeat([]byte{0xEE}, layout.ChunkSize))
-	kind, err = s2.AppendDelta(5, next, layout)
-	if err != nil {
+	copy(next[layout.headerLen:layout.headerLen+layout.chunkSize], bytes.Repeat([]byte{0xEE}, layout.chunkSize))
+	if err := s2.Append(5, next); err != nil {
 		t.Fatal(err)
-	}
-	if kind != KindDelta {
-		t.Fatalf("post-reopen append kind %v, want delta (cache rebuilt from the chain)", kind)
 	}
 	if got, err := s2.At(5); err != nil || !bytes.Equal(got, next) {
 		t.Fatalf("At(5): %v", err)
 	}
 }
 
-func TestStoreDeltaChainBound(t *testing.T) {
-	layout := Layout{HeaderLen: 0, ChunkSize: 16}
-	s := open(t, t.TempDir(), Options{MaxChain: 3, NoSync: true})
-	cur := deltaPayload(layout, 24, 0, func(int) byte { return 1 })
-	if _, err := s.AppendDelta(1, cur, layout); err != nil {
-		t.Fatal(err)
-	}
-	var kinds []Kind
-	for v := uint64(2); v <= 9; v++ {
-		cur = bytes.Clone(cur)
-		cur[int(v)*layout.ChunkSize] = byte(v) // one chunk changes
-		kind, err := s.AppendDelta(v, cur, layout)
-		if err != nil {
-			t.Fatal(err)
-		}
-		kinds = append(kinds, kind)
-	}
-	// full, d, d, d, full, d, d, d, full — every 4th record re-anchors.
-	want := []Kind{KindDelta, KindDelta, KindDelta, KindFull, KindDelta, KindDelta, KindDelta, KindFull}
-	for i, k := range want {
-		if kinds[i] != k {
-			t.Fatalf("append kinds %v, want %v (chain bound 3)", kinds, want)
-		}
-	}
-}
-
-func TestStoreDeltaDisabled(t *testing.T) {
-	layout := Layout{HeaderLen: 0, ChunkSize: 16}
-	s := open(t, t.TempDir(), Options{MaxChain: -1, NoSync: true})
-	cur := deltaPayload(layout, 8, 0, func(int) byte { return 1 })
-	if _, err := s.AppendDelta(1, cur, layout); err != nil {
-		t.Fatal(err)
-	}
-	cur = bytes.Clone(cur)
-	cur[3] = 99
-	kind, err := s.AppendDelta(2, cur, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != KindFull {
-		t.Fatalf("kind %v with MaxChain -1, want full", kind)
-	}
-}
-
-func TestStoreDeltaHalfSizeRule(t *testing.T) {
-	layout := Layout{HeaderLen: 0, ChunkSize: 64}
-	const nchunks = 16
-	s := open(t, t.TempDir(), Options{NoSync: true})
-	cur := deltaPayload(layout, nchunks, 0, func(int) byte { return 1 })
-	if _, err := s.AppendDelta(1, cur, layout); err != nil {
-		t.Fatal(err)
-	}
-	// Change over half the chunks: the delta (index overhead included)
-	// exceeds 50% of the payload, so a full record must be written.
-	cur = bytes.Clone(cur)
-	for k := 0; k < 9; k++ {
-		cur[k*layout.ChunkSize] = 0xAA
-	}
-	kind, err := s.AppendDelta(2, cur, layout)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if kind != KindFull {
-		t.Fatalf("9/16 chunks changed: kind %v, want full (>50%% rule)", kind)
-	}
-	// A small change still goes delta.
-	cur = bytes.Clone(cur)
-	cur[0] = 0xBB
-	if kind, err = s.AppendDelta(3, cur, layout); err != nil || kind != KindDelta {
-		t.Fatalf("1/16 chunks changed: kind %v err %v, want delta", kind, err)
-	}
-	// A payload whose length no longer matches the predecessor falls
-	// back to full (the layout cannot line up).
-	grown := deltaPayload(layout, nchunks+2, 0, func(int) byte { return 7 })
-	if kind, err = s.AppendDelta(4, grown, layout); err != nil || kind != KindFull {
-		t.Fatalf("grown payload: kind %v err %v, want full", kind, err)
-	}
-	// Layouts that do not tile the payload are caller errors.
-	if _, err := s.AppendDelta(5, cur[:len(cur)-3], layout); err == nil {
-		t.Error("non-tiling layout accepted")
-	}
-	if _, err := s.AppendDelta(5, cur, Layout{HeaderLen: 0, ChunkSize: 0}); err == nil {
-		t.Error("zero chunk size accepted")
-	}
-}
-
 func TestStoreDeltaCompactionRebase(t *testing.T) {
 	dir := t.TempDir()
-	layout := Layout{HeaderLen: 4, ChunkSize: 32}
+	layout := chunkLayout{headerLen: 4, chunkSize: 32}
 	const nchunks = 20
 	s := open(t, dir, Options{Retain: 3})
 	want := make(map[uint64][]byte)
 	cur := deltaPayload(layout, nchunks, 0, func(int) byte { return 1 })
-	if _, err := s.AppendDelta(1, cur, layout); err != nil {
+	if err := s.Append(1, cur); err != nil {
 		t.Fatal(err)
 	}
 	want[1] = cur
 	for v := uint64(2); v <= 5; v++ {
 		cur = bytes.Clone(cur)
-		cur[layout.HeaderLen+int(v)*layout.ChunkSize] = byte(v)
-		if _, err := s.AppendDelta(v, cur, layout); err != nil {
-			t.Fatal(err)
-		}
+		cur[layout.headerLen+int(v)*layout.chunkSize] = byte(v)
+		appendDelta(t, s, v, cur, layout)
 		want[v] = cur
 	}
+	before := s.Records()
 	// Versions 2..5 are deltas; retaining the newest 3 drops the full
 	// base, so compaction must rebase v3 onto a fresh full record.
 	if err := s.Compact(); err != nil {
@@ -642,6 +541,9 @@ func TestStoreDeltaCompactionRebase(t *testing.T) {
 	}
 	if recs[1].Kind != KindDelta || recs[2].Kind != KindDelta {
 		t.Fatalf("suffix kinds %+v, want deltas preserved", recs)
+	}
+	if recs[1] != before[3] || recs[2] != before[4] {
+		t.Fatalf("suffix records %+v, want the deltas %+v copied unchanged", recs[1:], before[3:])
 	}
 	for v := uint64(3); v <= 5; v++ {
 		got, err := s.At(v)
@@ -658,30 +560,28 @@ func TestStoreDeltaCompactionRebase(t *testing.T) {
 			t.Fatalf("reopened At(%d) after rebase: %v", v, err)
 		}
 	}
-	// And appends continue, deltas included.
+	// And appends continue.
 	cur = bytes.Clone(want[5])
-	cur[layout.HeaderLen] = 0xCC
-	if kind, err := s2.AppendDelta(6, cur, layout); err != nil || kind != KindDelta {
-		t.Fatalf("append after rebase: kind %v err %v", kind, err)
+	cur[layout.headerLen] = 0xCC
+	if err := s2.Append(6, cur); err != nil {
+		t.Fatalf("append after rebase: %v", err)
 	}
 }
 
 func TestStoreDeltaCorruptionTruncatesChainSuffix(t *testing.T) {
 	dir := t.TempDir()
-	layout := Layout{HeaderLen: 0, ChunkSize: 32}
+	layout := chunkLayout{headerLen: 0, chunkSize: 32}
 	s := open(t, dir, Options{})
 	cur := deltaPayload(layout, 16, 0, func(int) byte { return 1 })
-	if _, err := s.AppendDelta(1, cur, layout); err != nil {
+	if err := s.Append(1, cur); err != nil {
 		t.Fatal(err)
 	}
 	var offsets []int64
 	for v := uint64(2); v <= 4; v++ {
 		offsets = append(offsets, s.size)
 		cur = bytes.Clone(cur)
-		cur[int(v)*layout.ChunkSize] = byte(v)
-		if _, err := s.AppendDelta(v, cur, layout); err != nil {
-			t.Fatal(err)
-		}
+		cur[int(v)*layout.chunkSize] = byte(v)
+		appendDelta(t, s, v, cur, layout)
 	}
 	s.Close()
 	// Flip a payload byte inside the middle delta (v3): recovery must
@@ -713,18 +613,16 @@ func TestStoreDeltaRecordNeverFirst(t *testing.T) {
 	// external truncation) must recover to empty, not panic or index an
 	// unresolvable record.
 	dir := t.TempDir()
-	layout := Layout{HeaderLen: 0, ChunkSize: 32}
+	layout := chunkLayout{headerLen: 0, chunkSize: 32}
 	s := open(t, dir, Options{})
 	cur := deltaPayload(layout, 16, 0, func(int) byte { return 1 })
-	if _, err := s.AppendDelta(1, cur, layout); err != nil {
+	if err := s.Append(1, cur); err != nil {
 		t.Fatal(err)
 	}
 	firstLen := s.size
 	cur = bytes.Clone(cur)
 	cur[0] = 9
-	if kind, err := s.AppendDelta(2, cur, layout); err != nil || kind != KindDelta {
-		t.Fatalf("kind %v err %v", kind, err)
-	}
+	appendDelta(t, s, 2, cur, layout)
 	s.Close()
 	// Drop the leading full record, leaving the delta first.
 	logPath := filepath.Join(dir, logName)

@@ -23,45 +23,39 @@ func streamAll(t *testing.T, s *Store, from uint64) []byte {
 }
 
 // mixedStore builds a store whose log mixes full and delta records:
-// v1 full, v2..v4 deltas, v5 full (forced by a wholesale change),
+// v1 full, v2..v4 deltas, v5 full (a wholesale change),
 // v6 delta. Returns the store and the materialized payload per version.
-func mixedStore(t *testing.T, dir string) (*Store, Layout, map[uint64][]byte) {
+func mixedStore(t *testing.T, dir string) (*Store, map[uint64][]byte) {
 	t.Helper()
-	layout := Layout{HeaderLen: 5, ChunkSize: 16}
+	layout := chunkLayout{headerLen: 5, chunkSize: 16}
 	const nchunks = 24
 	s := open(t, dir, Options{NoSync: true})
 	want := make(map[uint64][]byte)
 	cur := deltaPayload(layout, nchunks, 1, func(int) byte { return 1 })
-	if _, err := s.AppendDelta(1, cur, layout); err != nil {
+	if err := s.Append(1, cur); err != nil {
 		t.Fatal(err)
 	}
 	want[1] = cur
 	for v := uint64(2); v <= 4; v++ {
 		cur = bytes.Clone(cur)
-		cur[layout.HeaderLen+int(v)*layout.ChunkSize] = byte(0x40 + v)
-		kind, err := s.AppendDelta(v, cur, layout)
-		if err != nil || kind != KindDelta {
-			t.Fatalf("v%d: kind %v err %v, want delta", v, kind, err)
-		}
+		cur[layout.headerLen+int(v)*layout.chunkSize] = byte(0x40 + v)
+		appendDelta(t, s, v, cur, layout)
 		want[v] = cur
 	}
 	cur = deltaPayload(layout, nchunks, 9, func(k int) byte { return byte(0x80 + k) })
-	kind, err := s.AppendDelta(5, cur, layout)
-	if err != nil || kind != KindFull {
-		t.Fatalf("v5: kind %v err %v, want full", kind, err)
+	if err := s.Append(5, cur); err != nil {
+		t.Fatal(err)
 	}
 	want[5] = cur
 	cur = bytes.Clone(cur)
-	cur[layout.HeaderLen+2*layout.ChunkSize] = 0xEE
-	if kind, err = s.AppendDelta(6, cur, layout); err != nil || kind != KindDelta {
-		t.Fatalf("v6: kind %v err %v, want delta", kind, err)
-	}
+	cur[layout.headerLen+2*layout.chunkSize] = 0xEE
+	appendDelta(t, s, 6, cur, layout)
 	want[6] = cur
-	return s, layout, want
+	return s, want
 }
 
 func TestRecordFramesFromResume(t *testing.T) {
-	s, _, want := mixedStore(t, t.TempDir())
+	s, want := mixedStore(t, t.TempDir())
 
 	// from=0 bootstraps at the newest full record (v5 here): a follower
 	// with no state can materialize everything the stream carries.
@@ -135,7 +129,7 @@ func TestRecordFramesFromCompactionHorizon(t *testing.T) {
 }
 
 func TestReadFrameSplitsStream(t *testing.T) {
-	s, _, _ := mixedStore(t, t.TempDir())
+	s, _ := mixedStore(t, t.TempDir())
 	stream := streamAll(t, s, 1)
 	rd := bytes.NewReader(stream)
 	var versions []uint64
@@ -179,7 +173,7 @@ func TestReadFrameSplitsStream(t *testing.T) {
 }
 
 func TestReplayRejectsCorruptFramesWithoutStateChange(t *testing.T) {
-	s, _, want := mixedStore(t, t.TempDir())
+	s, want := mixedStore(t, t.TempDir())
 	frames, err := s.RecordFramesFrom(1)
 	if err != nil {
 		t.Fatal(err)
@@ -225,94 +219,6 @@ func TestReplayRejectsCorruptFramesWithoutStateChange(t *testing.T) {
 	}
 }
 
-// TestCompactionRedeltasRetainedSuffix pins the delta-aware compaction
-// behavior: a retained full record whose bulk was only forced by the
-// chain bound is re-encoded as a delta against its new predecessor, so
-// post-compaction disk is proportional to churn.
-func TestCompactionRedeltasRetainedSuffix(t *testing.T) {
-	dir := t.TempDir()
-	layout := Layout{HeaderLen: 4, ChunkSize: 64}
-	const nchunks = 32
-	s := open(t, dir, Options{NoSync: true, Retain: 3, MaxChain: 2})
-	want := make(map[uint64][]byte)
-	cur := deltaPayload(layout, nchunks, 1, func(int) byte { return 1 })
-	if _, err := s.AppendDelta(1, cur, layout); err != nil {
-		t.Fatal(err)
-	}
-	want[1] = cur
-	// Single-chunk changes throughout: any full record past v1 is forced
-	// by the MaxChain-2 bound, not by churn.
-	for v := uint64(2); v <= 7; v++ {
-		cur = bytes.Clone(cur)
-		cur[layout.HeaderLen+int(v%uint64(nchunks))*layout.ChunkSize] = byte(v)
-		if _, err := s.AppendDelta(v, cur, layout); err != nil {
-			t.Fatal(err)
-		}
-		want[v] = cur
-	}
-	var fullBytes int64
-	for _, rec := range s.Records() {
-		if rec.Version == 7 {
-			if rec.Kind != KindFull {
-				t.Fatalf("v7 is %v before compaction, want full (chain bound)", rec.Kind)
-			}
-			fullBytes = rec.Bytes
-		}
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	recs := s.Records()
-	if len(recs) != 3 || recs[0].Version != 5 {
-		t.Fatalf("Records after compact = %+v", recs)
-	}
-	if recs[0].Kind != KindFull {
-		t.Fatalf("first retained record is %v, want full", recs[0].Kind)
-	}
-	// v7 was a chain-bound full record; against its new, shorter history
-	// it must have been re-deltaed down to its single changed chunk.
-	for _, rec := range recs[1:] {
-		if rec.Kind != KindDelta {
-			t.Fatalf("retained v%d is %v after compaction, want delta", rec.Version, rec.Kind)
-		}
-		if rec.Bytes >= fullBytes/2 {
-			t.Fatalf("retained v%d still costs %d bytes (full was %d)", rec.Version, rec.Bytes, fullBytes)
-		}
-	}
-	// Bit-identical materialization, surviving a reopen.
-	for v := uint64(5); v <= 7; v++ {
-		if got, err := s.At(v); err != nil || !bytes.Equal(got, want[v]) {
-			t.Fatalf("At(%d) after re-delta compaction: %v", v, err)
-		}
-	}
-	s.Close()
-
-	// A reopened store has seen no AppendDelta this life; compaction
-	// still re-deltas by recovering the layout from a retained delta
-	// record's own header.
-	s2 := open(t, dir, Options{NoSync: true, Retain: 2, MaxChain: 2})
-	for v := uint64(5); v <= 7; v++ {
-		if got, err := s2.At(v); err != nil || !bytes.Equal(got, want[v]) {
-			t.Fatalf("reopened At(%d): %v", v, err)
-		}
-	}
-	if err := s2.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	recs = s2.Records()
-	if len(recs) != 2 || recs[0].Version != 6 {
-		t.Fatalf("Records after layout-recovered compact = %+v", recs)
-	}
-	if recs[0].Kind != KindFull || recs[1].Kind != KindDelta {
-		t.Fatalf("layout-recovered compaction kinds = %+v, want [full delta]", recs)
-	}
-	for v := uint64(6); v <= 7; v++ {
-		if got, err := s2.At(v); err != nil || !bytes.Equal(got, want[v]) {
-			t.Fatalf("At(%d) after layout-recovered compaction: %v", v, err)
-		}
-	}
-}
-
 // FuzzReplayApply extends FuzzStoreOpen's corpus approach to the
 // replica apply path: arbitrary bytes are framed off a stream and fed
 // through a Replay. Whatever the input, the replay must never panic,
@@ -326,21 +232,16 @@ func FuzzReplayApply(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	layout := Layout{HeaderLen: 5, ChunkSize: 16}
-	cur := bytes.Repeat([]byte{0x11}, layout.HeaderLen+24*layout.ChunkSize)
-	if _, err := s.AppendDelta(1, cur, layout); err != nil {
+	layout := chunkLayout{headerLen: 5, chunkSize: 16}
+	cur := bytes.Repeat([]byte{0x11}, layout.headerLen+24*layout.chunkSize)
+	if err := s.Append(1, cur); err != nil {
 		f.Fatal(err)
 	}
-	var chainStart int64
+	chainStart := s.size
 	for v := uint64(2); v <= 4; v++ {
-		if v == 2 {
-			chainStart = s.size
-		}
 		cur = bytes.Clone(cur)
-		cur[layout.HeaderLen+int(v)*layout.ChunkSize] = byte(v)
-		if _, err := s.AppendDelta(v, cur, layout); err != nil {
-			f.Fatal(err)
-		}
+		cur[layout.headerLen+int(v)*layout.chunkSize] = byte(v)
+		appendDelta(f, s, v, cur, layout)
 	}
 	frames, err := s.RecordFramesFrom(1)
 	if err != nil {

@@ -493,9 +493,13 @@ func (m *Monitor) saveStateLocked() {
 }
 
 // Observe feeds one live online RSS vector (one reading per link) to the
-// monitor. It returns an error only for malformed input or a closed
+// monitor. It returns an error only for malformed input (a wrong
+// length, or a *ReadingError before any drift work) or a closed
 // monitor; detection and update outcomes are reported through Stats.
 func (m *Monitor) Observe(rss []float64) error {
+	if err := checkReadings(rss); err != nil {
+		return fmt.Errorf("iupdater: %w", err)
+	}
 	tr := m.d.cfg.tracer.Start("observe", m.d.cfg.site)
 	defer tr.Finish()
 	m.mu.Lock()

@@ -1,7 +1,10 @@
 package iupdater
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -498,4 +501,53 @@ func TestMonitorConcurrentObserve(t *testing.T) {
 		t.Fatalf("queries %d, want 2000", s.Queries)
 	}
 	m.Close()
+}
+
+// TestImplausibleReadingsAreTypedErrors: NaN, ±Inf and readings outside
+// the plausible dBm range (1e160 squares to +Inf in the residual) are
+// refused with a *ReadingError by every locate entry point and by
+// Monitor.Observe, and never reach the monitor's counters.
+func TestImplausibleReadingsAreTypedErrors(t *testing.T) {
+	tb := NewTestbed(Office(), 1)
+	d, _, err := tb.Deploy(0, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mon, err := NewMonitor(d, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mon.Close()
+	cx, cy := tb.CellCenter(42)
+	good := tb.MeasureOnline(cx, cy, time.Hour)
+	snap := d.Snapshot()
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 1e160, -1e200, MaxReadingDBm + 1, MinReadingDBm - 1} {
+		rss := append([]float64(nil), good...)
+		rss[2] = bad
+		calls := map[string]error{"Observe": mon.Observe(rss)}
+		_, calls["Locate"] = d.Locate(rss)
+		_, calls["LocateCell"] = snap.LocateCell(rss)
+		_, _, calls["LocateWithStats"] = snap.LocateWithStats(rss)
+		_, calls["LocateMultiple"] = snap.LocateMultiple(rss, 2)
+		_, calls["LocateBatch"] = snap.LocateBatch(context.Background(), [][]float64{good, rss}, 1)
+		for name, err := range calls {
+			var re *ReadingError
+			if !errors.As(err, &re) || re.Link != 2 || !(re.Value == bad || math.IsNaN(bad)) {
+				t.Errorf("%s with reading %g: error %v, want a *ReadingError for link 2", name, bad, err)
+			}
+		}
+	}
+	if q := mon.Stats().Queries; q != 0 {
+		t.Fatalf("monitor counted %d queries, want 0", q)
+	}
+	for _, edge := range []float64{MinReadingDBm, MaxReadingDBm} {
+		rss := append([]float64(nil), good...)
+		rss[2] = edge
+		if _, err := d.Locate(rss); err != nil {
+			t.Errorf("reading %g dBm on the range edge: %v", edge, err)
+		}
+		if err := mon.Observe(rss); err != nil {
+			t.Errorf("Observe with reading %g dBm: %v", edge, err)
+		}
+	}
 }

@@ -248,8 +248,11 @@ type Replica struct {
 	mu       sync.Mutex
 	geoKnown bool
 	geo      Geometry
-	promoted *Deployment
-	closed   bool
+	// promoting is set once Promote has decided to take over; apply
+	// refuses frames from then on.
+	promoting bool
+	promoted  *Deployment
+	closed    bool
 }
 
 // OpenReplica starts following a leader's records endpoint, e.g.
@@ -306,7 +309,7 @@ func (r *Replica) apply(version uint64, _ store.Kind, payload []byte) error {
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.closed || r.promoted != nil {
+	if r.closed || r.promoting {
 		return errors.New("replica is no longer following")
 	}
 	if !r.geoKnown {
@@ -429,27 +432,36 @@ func (r *Replica) storeRef() *Store { return r.cfg.store }
 // leader-election protocol.
 func (r *Replica) Promote(opts ...Option) (*Deployment, error) {
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.closed {
-		return nil, errors.New("iupdater: Promote: replica is closed")
+	var err error
+	switch {
+	case r.closed:
+		err = errors.New("iupdater: Promote: replica is closed")
+	case r.promoting:
+		err = errors.New("iupdater: Promote: replica is already promoted")
+	case r.snap.Load() == nil:
+		err = errors.New("iupdater: Promote: replica has not applied a snapshot yet")
+	default:
+		r.promoting = true
 	}
-	if r.promoted != nil {
-		return nil, errors.New("iupdater: Promote: replica is already promoted")
-	}
-	snap := r.snap.Load()
-	if snap == nil {
-		return nil, errors.New("iupdater: Promote: replica has not applied a snapshot yet")
+	r.mu.Unlock()
+	if err != nil {
+		return nil, err
 	}
 	// Stop the tailer before constructing the writer so no late frame
-	// races the handover. apply also rechecks promoted under mu, but a
-	// stopped tailer makes the ordering obvious.
+	// races the handover. The wait runs without r.mu, as in Close: an
+	// apply in flight needs the mutex to finish, and once it does it
+	// sees promoting and refuses every later frame.
 	r.cancel()
 	<-r.done
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	if r.cfg.store != nil {
 		opts = append([]Option{WithStore(r.cfg.store)}, opts...)
 	}
+	snap := r.snap.Load()
 	d, err := newDeploymentAt(snap.fp, r.geo, snap.version, opts...)
 	if err != nil {
+		r.promoting = false
 		return nil, err
 	}
 	r.promoted = d

@@ -29,9 +29,7 @@ func replicaMatrix(seed int) Matrix {
 	return m
 }
 
-// perturbColumn returns m with a single fingerprint column nudged —
-// small enough churn that the store persists the publish as a delta
-// record.
+// perturbColumn returns m with a single fingerprint column nudged.
 func perturbColumn(m Matrix, col int, by float64) Matrix {
 	out := m.Clone()
 	rows := out.ToRows()
@@ -78,10 +76,21 @@ func fastReplica(t *testing.T, url string, opts ...ReplicaOption) *Replica {
 // TestReplicationEndToEnd is the leader/follower acceptance hammer
 // (run under -race in CI): a follower tails a leader through a mixed
 // full/delta version line and serves bit-identical snapshots at every
-// version, survives a forced mid-line disconnect, and after Promote
-// continues the same version line as a writer.
+// version it reaches, survives a forced mid-line disconnect, and after
+// Promote continues the same version line as a writer.
+//
+// The leader warm-starts from testdata/delta-replica.log, written by an
+// earlier version that persisted single-column perturbations as delta
+// records: v1 full, v2-v3 deltas, v4 full (a wholesale change), v5-v6
+// deltas. The follower bootstraps at v4 and resolves the v5-v6 chain.
 func TestReplicationEndToEnd(t *testing.T) {
-	d, srv := openReplicaLeader(t)
+	st, _ := openFixtureStore(t, "delta-replica.log", WithoutSync())
+	d, err := OpenDeployment(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(d.ServeRecords())
+	t.Cleanup(srv.Close)
 	repStore, err := OpenStore(t.TempDir(), WithoutSync())
 	if err != nil {
 		t.Fatal(err)
@@ -116,16 +125,18 @@ func TestReplicationEndToEnd(t *testing.T) {
 			t.Fatalf("Locate diverged: leader (%v, %v) follower (%v, %v)", lp, lerr, fp, ferr)
 		}
 	}
+	if v := d.Version(); v != 6 {
+		t.Fatalf("leader warm-started at v%d, want 6", v)
+	}
 	checkSync(t)
 
-	// A mixed version line: single-column perturbations persist as
-	// delta records, wholesale installs as full records. The follower
-	// is checked at every version, concurrently with the next publish
-	// being prepared.
-	cur := replicaMatrix(0)
-	for v := 2; v <= 6; v++ {
-		if v == 4 {
-			cur = replicaMatrix(v) // wholesale change -> full record
+	// The line continues with full records, perturbations and a
+	// wholesale change alike. The follower is checked at every version,
+	// concurrently with the next publish being prepared.
+	cur := d.Snapshot().Fingerprints()
+	for v := 7; v <= 9; v++ {
+		if v == 8 {
+			cur = replicaMatrix(v)
 		} else {
 			cur = perturbColumn(cur, (v*11)%replicaGeometry.NumCells(), 0.5)
 		}

@@ -1,24 +1,27 @@
 #!/usr/bin/env bash
-# Benchmark smoke for the reconstruction, monitoring and persistence hot
-# paths.
+# Allocation-budget smoke for the reconstruction, monitoring,
+# persistence, locate and fleet hot paths.
 #
 # Runs the two reconstruction benchmarks that gate solver performance
 # (Fig 16 constraint ablation and the initialization ablation), the
 # traditional full-survey benchmark, the drift-monitor observe
-# benchmark, the snapshot-store append+load and delta-append
-# benchmarks, the locate-index query benchmarks (10x
-# and 100x office-sized grids across search tiers, plus the KNN top-k
-# scan), and the fleet LRU query benchmarks (hot resident path and the
-# cold park/rehydrate cycle, without and with a drift monitor) with
-# -benchmem, prints the result, and
-# appends one JSON line
-# per benchmark to BENCH_recon.json so successive PRs leave a comparable
-# trajectory:
+# benchmarks, the snapshot-store append+load benchmark, the replica
+# apply benchmark, the locate-index query benchmarks (10x and 100x
+# office-sized grids across search tiers, plus the KNN top-k scan),
+# and the fleet LRU query benchmarks (hot resident path and the cold
+# park/rehydrate cycle, without and with a drift monitor) with
+# -benchmem, and prints the result:
 #
 #	./scripts/bench.sh              # 1 iteration (smoke)
-#	BENCHTIME=3x ./scripts/bench.sh # more stable timings
+#	BENCHTIME=3x ./scripts/bench.sh # more iterations
 #
 # Extra arguments are passed to `go test` (e.g. -cpu 1,4).
+#
+# Only allocs/op is gated. Single-shot ns/op figures differ by 2-8x
+# between runs of one commit, so speed claims belong to the end-to-end
+# benchmark in bench/ (bench/run.sh compare), which measures them
+# against a stated noise band. BENCH_recon.json is the frozen history
+# of earlier runs of this script; it is no longer appended to.
 #
 # The run FAILS (non-zero exit) when any benchmark's allocs/op regresses
 # past its documented budget:
@@ -36,9 +39,6 @@
 #	                                     EWMA fold + top-k readout)
 #	StoreAppendLoad          <=     12  (2 measured: one record buffer,
 #	                                     one payload read buffer)
-#	StoreAppendDelta         <=      8  (~1-3 measured: the framed delta
-#	                                     record + diff scratch; cache and
-#	                                     index growth amortize)
 #	ReplicaApply             <=      4  (0 measured: the follower's
 #	                                     validate-and-apply path reuses
 #	                                     its payload buffer steady-state)
@@ -59,10 +59,11 @@
 #	                                     Hydrate is one atomic load plus
 #	                                     an LRU touch, and the Locate
 #	                                     scratch is pooled)
-#	FleetColdQuery           <=    200  (~58 measured: every op pays a
+#	FleetColdQuery           <=    200  (27 measured in steady state,
+#	                                     31-42 at 1x: every op pays a
 #	                                     full park/rehydrate cycle —
-#	                                     store read, delta resolution,
-#	                                     snapshot + index build)
+#	                                     store read, snapshot decode,
+#	                                     index build)
 #	FleetColdQueryMonitored  <=     64  (41-50 measured at 1x, 37 in
 #	                                     steady state: the cold cycle
 #	                                     plus a monitor parked and
@@ -73,28 +74,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 benchtime="${BENCHTIME:-1x}"
-out="$(go test -run '^$' -bench 'Fig16ConstraintAblation|AblationInitialization|SurveyMatrix|MonitorObserve|StoreAppendLoad|StoreAppendDelta|ReplicaApply|LocateLargeGrid|KNNNeighbors|LocateTraced|FleetHotQuery|FleetColdQuery' \
+out="$(go test -run '^$' -bench 'Fig16ConstraintAblation|AblationInitialization|SurveyMatrix|MonitorObserve|StoreAppendLoad|ReplicaApply|LocateLargeGrid|KNNNeighbors|LocateTraced|FleetHotQuery|FleetColdQuery' \
 	-benchtime "$benchtime" -benchmem "$@" . ./internal/store ./internal/loc)"
 echo "$out"
 
-commit="$(git rev-parse --short HEAD 2>/dev/null || echo unknown)"
-stamp="$(date -u +%Y-%m-%dT%H:%M:%SZ)"
-echo "$out" | awk -v commit="$commit" -v stamp="$stamp" '
-/^Benchmark/ {
-	name = $1; ns = "null"; bytes = "null"; allocs = "null"
-	sub(/-[0-9]+$/, "", name) # strip the GOMAXPROCS suffix: stable keys across hosts
-	for (i = 2; i <= NF; i++) {
-		if ($i == "ns/op") ns = $(i-1)
-		if ($i == "B/op") bytes = $(i-1)
-		if ($i == "allocs/op") allocs = $(i-1)
-	}
-	printf("{\"date\":\"%s\",\"commit\":\"%s\",\"bench\":\"%s\",\"ns_op\":%s,\"b_op\":%s,\"allocs_op\":%s}\n",
-		stamp, commit, name, ns, bytes, allocs)
-}' >>BENCH_recon.json
-echo "appended results to BENCH_recon.json"
-
 # Allocation-budget gate: a regression past a documented budget fails
-# the smoke loudly instead of only leaving a worse trajectory line.
+# the smoke loudly.
 echo "$out" | awk '
 BEGIN {
 	budget["BenchmarkFig16ConstraintAblation"] = 100000
@@ -103,7 +88,6 @@ BEGIN {
 	budget["BenchmarkMonitorObserve"] = 2
 	budget["BenchmarkMonitorObserveAttribution"] = 2
 	budget["BenchmarkStoreAppendLoad"] = 12
-	budget["BenchmarkStoreAppendDelta"] = 8
 	budget["BenchmarkReplicaApply"] = 4
 	budget["BenchmarkLocateLargeGrid/10x"] = 2
 	budget["BenchmarkLocateLargeGrid/100x"] = 2

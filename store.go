@@ -13,10 +13,9 @@ import (
 type StoreOption func(*storeConfig)
 
 type storeConfig struct {
-	retain   int
-	noSync   bool
-	maxChain int
-	backend  Backend
+	retain  int
+	noSync  bool
+	backend Backend
 }
 
 // Backend is the pluggable storage namespace a Store lives in — a flat
@@ -53,19 +52,6 @@ func WithoutSync() StoreOption {
 	return func(c *storeConfig) { c.noSync = true }
 }
 
-// WithMaxChain bounds how many consecutive delta records the store may
-// stack on one full snapshot record before a publish is forced to write
-// a full record again (default 16). Longer chains make small updates
-// cheaper on disk but cost more record reads to materialize an old
-// version; n <= 0 disables delta records entirely, so every publish
-// persists a full snapshot.
-func WithMaxChain(n int) StoreOption {
-	if n <= 0 {
-		n = -1
-	}
-	return func(c *storeConfig) { c.maxChain = n }
-}
-
 // WithBackend opens the store inside the given Backend namespace
 // instead of a local directory; the dir argument of OpenStore is then
 // ignored. The on-disk record format, recovery, compaction and the
@@ -88,15 +74,13 @@ func WithBackend(b Backend) StoreOption {
 // store recovers to the newest durable version instead of failing open.
 // See the internal/store package documentation for the record format.
 //
-// To keep durability proportional to what actually changed — the
-// paper's low-cost premise applied to the disk — a publish whose
-// fingerprints differ from the previous version in only a few columns
-// is persisted as a delta record (the changed columns only, ~an order
-// of magnitude smaller than a full snapshot for a typical auto-update)
-// instead of re-serializing the whole matrix. Reads transparently
-// resolve delta chains back to their base full record, chains are
-// bounded by WithMaxChain, and Records reports each retained version's
-// record kind and on-disk footprint.
+// Every publish is persisted as a full snapshot record: an update
+// reconstructs the whole fingerprint matrix, so every column changes.
+// Stores written by earlier versions may also hold delta records (only
+// the columns changed versus the previous version); they are still
+// read, and reads resolve a delta chain back to its base full record.
+// Records reports each retained version's record kind and on-disk
+// footprint.
 //
 // All methods are safe for concurrent use. A Store must be attached to
 // at most one live Deployment at a time (two writers would race on the
@@ -115,7 +99,7 @@ func OpenStore(dir string, opts ...StoreOption) (*Store, error) {
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	iopts := store.Options{Retain: cfg.retain, NoSync: cfg.noSync, MaxChain: cfg.maxChain}
+	iopts := store.Options{Retain: cfg.retain, NoSync: cfg.noSync}
 	var st *store.Store
 	var err error
 	if cfg.backend != nil {
@@ -137,10 +121,10 @@ func (s *Store) Dir() string { return s.st.Dir() }
 func (s *Store) Versions() []uint64 { return s.st.Versions() }
 
 // RecordInfo describes how one retained snapshot version sits on disk:
-// as a full snapshot record or as a delta record holding only the
-// columns changed versus the previous version, and how many bytes the
-// record occupies (framing header included). Either way, reads return
-// the complete snapshot.
+// as a full snapshot record or, in a store written by an earlier
+// version, as a delta record holding only the columns changed versus
+// the previous version, and how many bytes the record occupies (framing
+// header included). Either way, reads return the complete snapshot.
 type RecordInfo struct {
 	Version uint64 `json:"version"`
 	// Kind is "full" or "delta".
@@ -236,19 +220,13 @@ func (s *Store) Close() error {
 	return err
 }
 
-// appendSnapshot persists one published snapshot. The store diffs the
-// encoded payload column-wise against the previous retained version and
-// writes a delta record when few columns changed, a full record
-// otherwise; either way the append is fsynced before it returns. The
-// returned kind ("full" or "delta") is what the publish trace's
-// persist span reports as the durability cost class of the publish.
-func (s *Store) appendSnapshot(version uint64, g Geometry, fp Matrix) (string, error) {
-	layout := store.Layout{HeaderLen: snapshotHeaderLen, ChunkSize: fp.rows * 8}
-	kind, err := s.st.AppendDelta(version, encodeSnapshot(g, fp), layout)
-	if err != nil {
-		return "", fmt.Errorf("iupdater: persisting snapshot v%d: %w", version, err)
+// appendSnapshot persists one published snapshot as a full record,
+// fsynced before it returns.
+func (s *Store) appendSnapshot(version uint64, g Geometry, fp Matrix) error {
+	if err := s.st.Append(version, encodeSnapshot(g, fp)); err != nil {
+		return fmt.Errorf("iupdater: persisting snapshot v%d: %w", version, err)
 	}
-	return kind.String(), nil
+	return nil
 }
 
 // latestSnapshot loads the newest stored snapshot.
@@ -279,9 +257,9 @@ func (s *Store) latestSnapshot() (version uint64, fp Matrix, g Geometry, err err
 //	29      4          matrix cols (uint32)
 //	33      rows*cols*8  fingerprints, column-major float64 bits
 //
-// The 33-byte prefix and the rows*8-byte column stride double as the
-// store's delta layout: a delta record re-states the prefix and only
-// the columns whose bits changed.
+// Delta records in stores written by earlier versions use the 33-byte
+// prefix as their header and the rows*8-byte column as their chunk: a
+// delta re-states the prefix and only the columns whose bits changed.
 const (
 	snapshotFormatV1  = 1
 	snapshotHeaderLen = 33

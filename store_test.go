@@ -1,9 +1,19 @@
 package iupdater
 
 import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"math"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
+
+	"iupdater/internal/store"
 )
 
 // updateAt runs one testbed-driven Update at the given deployment age.
@@ -35,56 +45,236 @@ func matricesEqual(a, b Matrix) bool {
 	return true
 }
 
-// TestStoreRestartRoundTrip is the kill-and-restart durability proof:
-// publish through a store, reopen the directory as a fresh process
-// would, and demand bit-identical localization from the warm-started
-// deployment.
-func TestStoreRestartRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	st, err := OpenStore(dir)
+// deltaFixtureRecord is one record of a fixture log: its version, how
+// it sits on disk, and the SHA-256 of its materialized payload.
+type deltaFixtureRecord struct {
+	version uint64
+	kind    string
+	bytes   int64
+	sha256  string
+}
+
+// officeDeltaFixture describes testdata/delta-office.log, written by an
+// earlier version of this package that persisted small publishes as
+// delta records: office testbed seed 1 surveyed at day 0 (v1), updated
+// at day 30 (v2) and day 60 (v5), and after each update two Installs
+// that nudged five columns each (v3, v4, v6, v7). The SHA-256 values
+// were recorded by the writer.
+var officeDeltaFixture = []deltaFixtureRecord{
+	{1, "full", 6197, "5b8ea9acb9939aef5de782c67ec23b6ef6d0bfd65d32c3379451e0a9be87fc0b"},
+	{2, "full", 6197, "7086bbb5a922e20ed79cefcb24ac76f6d0d9b5b4df2d7287e6d7e9c72de7b8b5"},
+	{3, "delta", 417, "b199dc525a093d7494ff901f0cbdd91899e324ccbb0d355541fad5680aacc1dc"},
+	{4, "delta", 417, "71a315976bbc95a1dba06c5dcb4a743c88135d5679df401d6453ec241a4b28f2"},
+	{5, "full", 6197, "ab329808bda98965b1e4f937c5f3406e638b96bea317fda0ccf03e56c6897f1c"},
+	{6, "delta", 417, "cb5b92cfe8c92cbc65409f04906c411f0959d4057f0c09e96bb7a4df5ca3a8fb"},
+	{7, "delta", 417, "74c2edcfcb5149d45d095b74969fc50642310692e873faccb857d22d4f4edf48"},
+}
+
+// officeFixtureProbes are the positions (as float64 bits) the writer's
+// deployment returned at v7 for officeProbe(tb, k), k = 0..4.
+var officeFixtureProbes = [][2]uint64{
+	{0x401e000000000000, 0x3fe2000000000000},
+	{0x401a000000000000, 0x3ffb000000000000},
+	{0x4025000000000000, 0x4006800000000000},
+	{0x401a000000000001, 0x4014400000000000},
+	{0x4021000000000000, 0x4018c00000000000},
+}
+
+// officeProbe is the k-th online measurement the fixture probes use.
+func officeProbe(tb *Testbed, k int) []float64 {
+	cx, cy := tb.CellCenter((k * 17) % tb.NumCells())
+	return tb.MeasureOnline(cx, cy, 60*day+time.Duration(k+1)*time.Minute)
+}
+
+// openFixtureStore copies testdata/<name> into a fresh store directory
+// (Open may rewrite the log, so the checked-in bytes stay untouched)
+// and opens it.
+func openFixtureStore(t *testing.T, name string, opts ...StoreOption) (*Store, string) {
+	t.Helper()
+	raw, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb := NewTestbed(Office(), 1)
-	d, _, err := tb.Deploy(0, 20, WithStore(st))
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "snapshots.log"), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := OpenStore(dir, opts...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	t.Cleanup(func() { st.Close() })
+	return st, dir
+}
+
+// checkFixtureVersions demands that every version the store retains
+// materializes to the payload the fixture's writer recorded.
+func checkFixtureVersions(t *testing.T, st *Store, want []deltaFixtureRecord) {
+	t.Helper()
+	byVersion := make(map[uint64]deltaFixtureRecord, len(want))
+	for _, r := range want {
+		byVersion[r.version] = r
+	}
+	for _, v := range st.Versions() {
+		if _, ok := byVersion[v]; !ok {
+			continue
+		}
+		payload, err := st.st.At(v)
+		if err != nil {
+			t.Fatalf("v%d: %v", v, err)
+		}
+		if got := fmt.Sprintf("%x", sha256.Sum256(payload)); got != byVersion[v].sha256 {
+			t.Fatalf("v%d materializes to sha256 %s, want %s", v, got, byVersion[v].sha256)
+		}
+		if _, _, err := st.SnapshotAt(v); err != nil {
+			t.Fatalf("v%d does not decode: %v", v, err)
+		}
+	}
+}
+
+// TestStoreOpensDeltaFixture: a log holding delta records, written by
+// an earlier version, still opens bit-identically at every version,
+// compacts (rebasing a leading delta onto a full record and copying the
+// rest), and streams to a follower.
+func TestStoreOpensDeltaFixture(t *testing.T) {
+	st, dir := openFixtureStore(t, "delta-office.log")
+	recs := st.Records()
+	if len(recs) != len(officeDeltaFixture) {
+		t.Fatalf("recovered %d records %+v, want %d", len(recs), recs, len(officeDeltaFixture))
+	}
+	for i, r := range officeDeltaFixture {
+		if want := (RecordInfo{Version: r.version, Kind: r.kind, Bytes: r.bytes}); recs[i] != want {
+			t.Fatalf("record %d is %+v, want %+v", i, recs[i], want)
+		}
+	}
+	checkFixtureVersions(t, st, officeDeltaFixture)
+	raw, err := os.ReadFile(filepath.Join("testdata", "delta-office.log"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := os.ReadFile(filepath.Join(dir, "snapshots.log")); err != nil || !bytes.Equal(got, raw) {
+		t.Fatalf("opening the fixture changed its log (err %v)", err)
+	}
+
+	t.Run("stream", func(t *testing.T) {
+		// A resume from v2 ships the whole line, the v3-v4 chain over
+		// the v2 full record included; every version replays to the
+		// writer's bytes.
+		frames, err := st.st.RecordFramesFrom(2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r store.Replay
+		for i, f := range frames {
+			v, kind, err := r.Apply(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := officeDeltaFixture[i+1]
+			if v != want.version || kind.String() != want.kind {
+				t.Fatalf("frame %d applied as v%d %v, want v%d %s", i, v, kind, want.version, want.kind)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(r.Payload())); got != want.sha256 {
+				t.Fatalf("replayed v%d has sha256 %s, want %s", v, got, want.sha256)
+			}
+		}
+		// A follower bootstraps at the newest full record (v5) and
+		// resolves the v6-v7 chain into a bit-identical snapshot.
+		d, err := OpenDeployment(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := httptest.NewServer(d.ServeRecords())
+		defer srv.Close()
+		rep := fastReplica(t, srv.URL)
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		got, err := rep.WaitVersion(ctx, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Version() != 7 || !matricesEqual(got.Fingerprints(), d.Snapshot().Fingerprints()) {
+			t.Fatalf("follower at v%d is not bit-identical to the leader's v7", got.Version())
+		}
+	})
+
+	t.Run("compact", func(t *testing.T) {
+		st, dir := openFixtureStore(t, "delta-office.log", WithRetention(5))
+		if err := st.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		// The retained range v3..v7 starts with a delta whose base (v2)
+		// is dropped: v3 becomes a full record, and v4..v7 are copied.
+		want := []RecordInfo{{3, "full", 6197}, {4, "delta", 417}, {5, "full", 6197}, {6, "delta", 417}, {7, "delta", 417}}
+		check := func(st *Store, stage string) {
+			t.Helper()
+			recs := st.Records()
+			if len(recs) != len(want) {
+				t.Fatalf("%s: records %+v, want %+v", stage, recs, want)
+			}
+			for i := range want {
+				if recs[i] != want[i] {
+					t.Fatalf("%s: records %+v, want %+v", stage, recs, want)
+				}
+			}
+			checkFixtureVersions(t, st, officeDeltaFixture)
+		}
+		check(st, "compacted")
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		st2, err := OpenStore(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st2.Close()
+		check(st2, "reopened")
+	})
+}
+
+// TestStoreRestartRoundTrip is the kill-and-restart durability proof. A
+// deployment warm-starts from a fixture log whose tail is a delta chain
+// and locates bit-identically to the deployment that wrote it; then it
+// publishes through the store, is reopened as a fresh process would,
+// and must again localize bit-identically.
+func TestStoreRestartRoundTrip(t *testing.T) {
+	st, dir := openFixtureStore(t, "delta-office.log")
+	tb := NewTestbed(Office(), 1)
+	d, err := OpenDeployment(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := d.Version(); v != 7 {
+		t.Fatalf("warm-started version %d, want 7", v)
 	}
 	if d.Store() != st {
 		t.Fatal("Store() does not return the attached store")
 	}
-	snap := updateAt(t, d, tb, 30*day)
-	if snap.Version() != 2 {
-		t.Fatalf("post-update version %d, want 2", snap.Version())
+	if g := d.Geometry(); g != tb.Geometry() {
+		t.Fatalf("warm-started geometry %+v, want %+v", g, tb.Geometry())
 	}
-	// Tack a delta chain onto the tail: two publishes that each tweak a
-	// handful of columns persist as delta records, so the restart below
-	// has to materialize a chain, not just read back one full record.
-	for n := 1; n <= 2; n++ {
-		fp := d.Snapshot().Fingerprints()
-		for k := 0; k < 5; k++ {
-			j := (7*n + k*11) % fp.Cols()
-			for i := 0; i < fp.Rows(); i++ {
-				fp.Set(i, j, fp.At(i, j)+0.1*float64(n))
-			}
-		}
-		if _, err := d.Install(fp); err != nil {
+	for k, bits := range officeFixtureProbes {
+		got, err := d.Locate(officeProbe(tb, k))
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	if v := d.Version(); v != 4 {
-		t.Fatalf("post-install version %d, want 4", v)
-	}
-	recs := st.Records()
-	if len(recs) != 4 || recs[2].Kind != "delta" || recs[3].Kind != "delta" {
-		t.Fatalf("stored records %+v, want a delta tail at v3 and v4", recs)
+		if want := (Position{math.Float64frombits(bits[0]), math.Float64frombits(bits[1])}); got != want {
+			t.Fatalf("probe %d: position %v, want the writer's %v", k, got, want)
+		}
 	}
 
+	snap := updateAt(t, d, tb, 90*day)
+	if snap.Version() != 8 {
+		t.Fatalf("post-update version %d, want 8", snap.Version())
+	}
+	if rec := st.Records()[7]; rec.Kind != "full" || rec.Bytes != officeDeltaFixture[0].bytes {
+		t.Fatalf("v8 stored as %+v, want a full record", rec)
+	}
 	probes := make([][]float64, 5)
 	before := make([]Position, len(probes))
 	for k := range probes {
 		cx, cy := tb.CellCenter((k * 17) % tb.NumCells())
-		probes[k] = tb.MeasureOnline(cx, cy, 30*day+time.Duration(k+1)*time.Minute)
+		probes[k] = tb.MeasureOnline(cx, cy, 90*day+time.Duration(k+1)*time.Minute)
 		if before[k], err = d.Locate(probes[k]); err != nil {
 			t.Fatal(err)
 		}
@@ -105,11 +295,8 @@ func TestStoreRestartRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v := d2.Version(); v != 4 {
-		t.Fatalf("warm-started version %d, want 4", v)
-	}
-	if g := d2.Geometry(); g != tb.Geometry() {
-		t.Fatalf("warm-started geometry %+v, want %+v", g, tb.Geometry())
+	if v := d2.Version(); v != 8 {
+		t.Fatalf("warm-started version %d, want 8", v)
 	}
 	if !matricesEqual(d2.Snapshot().Fingerprints(), fpBefore) {
 		t.Fatal("fingerprints differ after restart")
@@ -124,109 +311,15 @@ func TestStoreRestartRoundTrip(t *testing.T) {
 		}
 	}
 	// The warm-started deployment keeps publishing into the same store.
-	snap5 := updateAt(t, d2, tb, 60*day)
-	if snap5.Version() != 5 {
-		t.Fatalf("post-restart update version %d, want 5", snap5.Version())
+	snap9 := updateAt(t, d2, tb, 120*day)
+	if snap9.Version() != 9 {
+		t.Fatalf("post-restart update version %d, want 9", snap9.Version())
 	}
 	vs := st2.Versions()
-	if len(vs) != 5 || vs[0] != 1 || vs[4] != 5 {
-		t.Fatalf("stored versions %v, want [1 2 3 4 5]", vs)
+	if len(vs) != 9 || vs[0] != 1 || vs[8] != 9 {
+		t.Fatalf("stored versions %v, want [1 .. 9]", vs)
 	}
-}
-
-// TestStoreDeltaPersistsFewerBytes is the low-cost durability claim on
-// the office testbed geometry: a publish in which at most 10% of the
-// reference columns changed must hit the disk as a delta record at
-// least 5x smaller than a full snapshot record, while reading the
-// version back stays bit-exact.
-func TestStoreDeltaPersistsFewerBytes(t *testing.T) {
-	st, err := OpenStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	tb := NewTestbed(Office(), 6)
-	d, _, err := tb.Deploy(0, 20, WithStore(st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Change 9 of the 96 columns (<= 10%) and republish.
-	fp := d.Snapshot().Fingerprints()
-	if fp.Cols() != 96 {
-		t.Fatalf("office geometry has %d cells, want 96", fp.Cols())
-	}
-	for k := 0; k < 9; k++ {
-		j := k * 10
-		for i := 0; i < fp.Rows(); i++ {
-			fp.Set(i, j, fp.At(i, j)+0.25)
-		}
-	}
-	if _, err := d.Install(fp); err != nil {
-		t.Fatal(err)
-	}
-	recs := st.Records()
-	if len(recs) != 2 {
-		t.Fatalf("stored records %+v, want 2", recs)
-	}
-	if recs[0].Kind != "full" || recs[1].Kind != "delta" {
-		t.Fatalf("record kinds %+v, want [full delta]", recs)
-	}
-	if 5*recs[1].Bytes > recs[0].Bytes {
-		t.Errorf("delta record is %d bytes vs %d for the full snapshot: want >= 5x smaller for a <= 10%% column change",
-			recs[1].Bytes, recs[0].Bytes)
-	}
-	// The delta-stored version reads back bit-exactly...
-	got, _, err := st.SnapshotAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matricesEqual(got, fp) {
-		t.Fatal("delta-stored snapshot did not materialize bit-identically")
-	}
-	// ...and still does after a reopen recovers the chain from disk.
-	dir := st.Dir()
-	if err := st.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st2, err := OpenStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st2.Close()
-	got2, _, err := st2.SnapshotAt(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !matricesEqual(got2, fp) {
-		t.Fatal("reopened delta-stored snapshot did not materialize bit-identically")
-	}
-}
-
-// TestStoreMaxChainDisabledForcesFullRecords: WithMaxChain(0) opts a
-// store out of delta encoding entirely.
-func TestStoreMaxChainDisabledForcesFullRecords(t *testing.T) {
-	st, err := OpenStore(t.TempDir(), WithMaxChain(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	tb := NewTestbed(Office(), 6)
-	d, _, err := tb.Deploy(0, 20, WithStore(st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fp := d.Snapshot().Fingerprints()
-	for i := 0; i < fp.Rows(); i++ {
-		fp.Set(i, 3, fp.At(i, 3)+0.5)
-	}
-	if _, err := d.Install(fp); err != nil {
-		t.Fatal(err)
-	}
-	for _, rec := range st.Records() {
-		if rec.Kind != "full" {
-			t.Fatalf("record %+v with WithMaxChain(0), want full", rec)
-		}
-	}
+	checkFixtureVersions(t, st2, officeDeltaFixture)
 }
 
 func TestRollbackThenUpdateVersionMonotonicity(t *testing.T) {
