@@ -612,8 +612,8 @@ func largeGridDeployment(b *testing.B, perStrip int, opts ...iupdater.Option) (*
 // locate index. Alongside allocs/op (budget <= 2, enforced by
 // scripts/bench.sh) it reports col_evals/op — the number of full
 // column-distance/correlation evaluations per Locate, read from the
-// snapshot's SearchStats counters — so the sub-linear claim is measured,
-// not asserted: compare the 100x-sharded and 100x-exact arms.
+// snapshot's SearchStats counters — so the pruning is measured, not
+// asserted: compare the 100x and 100x-exact arms.
 func BenchmarkLocateLargeGrid(b *testing.B) {
 	arms := []struct {
 		name     string
@@ -622,7 +622,6 @@ func BenchmarkLocateLargeGrid(b *testing.B) {
 	}{
 		{"10x", 120, nil},
 		{"100x", 1200, nil},
-		{"100x-sharded", 1200, []iupdater.Option{iupdater.WithShardedSearch(0)}},
 		{"100x-exact", 1200, []iupdater.Option{iupdater.WithExactSearch()}},
 	}
 	for _, arm := range arms {

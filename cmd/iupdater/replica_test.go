@@ -158,8 +158,7 @@ func TestServeGracefulShutdownWithParkedRecordsPoll(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: s.handler()}
-	srv.RegisterOnShutdown(s.cancelDrain)
+	srv := s.httpServer()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() { done <- serveUntil(ctx, srv, ln, 5*time.Second, func() {}) }()

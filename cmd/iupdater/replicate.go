@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"log"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -55,8 +54,7 @@ func runReplicate(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.handler()}
-	srv.RegisterOnShutdown(s.cancelDrain)
+	srv := s.httpServer()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	log.Printf("replica site %s following %s on %s (POST /locate, GET /snapshot|/sites; writes answer 409)",

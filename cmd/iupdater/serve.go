@@ -1580,8 +1580,7 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	srv := &http.Server{Handler: s.handler()}
-	srv.RegisterOnShutdown(s.cancelDrain)
+	srv := s.httpServer()
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	log.Printf("serving %d site(s) %v on %s (POST /locate|/update|/rollback, GET /snapshot|/drift|/records|/sites|/metrics|/traces|/healthz; per-site under /sites/{name}/...)",
@@ -1614,6 +1613,22 @@ func durabilityNote(d *iupdater.Deployment) string {
 		return fmt.Sprintf(", persisted to %s", st.Dir())
 	}
 	return " (in-memory: snapshots do not survive a restart)"
+}
+
+// readHeaderTimeout bounds how long a client may take to send one
+// request's header, so a connection that opens and never finishes its
+// request line is closed instead of holding a goroutine and a socket.
+// ReadTimeout, WriteTimeout and IdleTimeout stay zero: with the idle and
+// read timeouts both unset, net/http sets no deadline while a keep-alive
+// connection waits for its next request, and /records long-polls wait
+// on the response side.
+const readHeaderTimeout = 10 * time.Second
+
+// httpServer builds the HTTP server serve and replicate run over s.
+func (s *server) httpServer() *http.Server {
+	srv := &http.Server{Handler: s.handler(), ReadHeaderTimeout: readHeaderTimeout}
+	srv.RegisterOnShutdown(s.cancelDrain)
+	return srv
 }
 
 // serveUntil serves on ln until ctx is cancelled (SIGINT/SIGTERM in

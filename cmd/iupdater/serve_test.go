@@ -527,6 +527,33 @@ func TestServeDriftEndpointAndMonitorFeed(t *testing.T) {
 	}
 }
 
+// TestServeClosesSilentConnections: a client that connects and never
+// sends a request header is disconnected once readHeaderTimeout passes,
+// instead of holding a server goroutine and a socket forever.
+func TestServeClosesSilentConnections(t *testing.T) {
+	t.Parallel()
+	srv := newServer(0).httpServer()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer srv.Close()
+	conn, err := net.Dial("tcp", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	start := time.Now()
+	conn.SetReadDeadline(start.Add(readHeaderTimeout + 5*time.Second))
+	if _, err := io.ReadAll(conn); err != nil {
+		t.Fatalf("silent connection still open after %v: %v", time.Since(start).Round(time.Millisecond), err)
+	}
+	if waited := time.Since(start); waited < readHeaderTimeout-time.Second {
+		t.Errorf("silent connection closed after %v, before the %v header timeout", waited, readHeaderTimeout)
+	}
+}
+
 func TestServeGracefulShutdown(t *testing.T) {
 	st := newOfficeSite(t, 1)
 	s := newServer(0)
@@ -539,7 +566,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := &http.Server{Handler: s.handler()}
+	srv := s.httpServer()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	cleaned := make(chan struct{})

@@ -105,27 +105,10 @@ func WithUpdateConcurrency(n int) Option {
 // every fingerprint column evaluated per query. The default (pruned)
 // search already returns bit-identical results — including tie-breaks —
 // while touching fewer columns, so this option exists for A/B
-// verification and as the ground truth the pruned and sharded tiers are
-// tested against, not because the default trades accuracy.
+// verification and as the ground truth the pruned tier is tested
+// against, not because the default trades accuracy.
 func WithExactSearch() Option {
 	return func(c *config) { c.search.Mode = loc.SearchExact }
-}
-
-// WithShardedSearch switches every snapshot's locate index to the
-// approximate coarse-to-fine tier: each query is routed to the fanout
-// most promising column shards (contiguous grid-cell blocks) and only
-// their columns are evaluated, making query cost nearly independent of
-// the grid size. Results can differ from exact search when the true
-// best column lies outside the routed shards; on the evaluation
-// scenarios the mean localization-error degradation is within 0.1 dB of
-// exact at fanout 4 (the default for fanout <= 0) — see the package
-// documentation for the accuracy budget. Drift monitoring is
-// unaffected: the residual always uses an exact tier.
-func WithShardedSearch(fanout int) Option {
-	return func(c *config) {
-		c.search.Mode = loc.SearchSharded
-		c.search.Fanout = fanout
-	}
 }
 
 // WithTracer attaches a request-scoped span tracer (see internal/trace)
@@ -194,7 +177,7 @@ func newSnapshot(version uint64, fp Matrix, grid geom.Grid, search loc.IndexConf
 // snapshot's locate index has performed, for observability and
 // benchmarking. ColumnEvals counts full column distance/correlation
 // evaluations — the exhaustive reference costs one per fingerprint
-// column per search, the pruned and sharded tiers fewer.
+// column per search, the pruned tier fewer.
 type SearchStats struct {
 	// Queries is the number of candidate searches answered.
 	Queries uint64
@@ -213,8 +196,7 @@ func (s *Snapshot) SearchStats() SearchStats {
 }
 
 // SearchTier names the snapshot's active candidate-search tier:
-// "pruned" (the default), "exact" (WithExactSearch) or "sharded"
-// (WithShardedSearch).
+// "pruned" (the default) or "exact" (WithExactSearch).
 func (s *Snapshot) SearchTier() string { return s.ix.Mode().String() }
 
 // Version returns the snapshot's monotonically increasing version number.
@@ -278,7 +260,7 @@ func (s *Snapshot) Locate(rss []float64) (Position, error) {
 type LocateStats struct {
 	// Version is the snapshot version the query ran against.
 	Version uint64
-	// Tier is the active search tier ("pruned", "exact", "sharded").
+	// Tier is the active search tier ("pruned" or "exact").
 	Tier string
 	// ColumnEvals / ShardEvals / ShardsVisited / Rounds are this
 	// query's exact counts; see loc.SearchInfo.

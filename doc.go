@@ -67,11 +67,11 @@
 //     is insensitive to), so the residual rises exactly when the
 //     per-link shape of the environment has changed under the database.
 //   - The residual stream feeds a pluggable self-calibrating
-//     DriftDetector (internal/drift): the default sliding-window
-//     mean-shift detector (NewMeanShiftDetector) reacts within about a
-//     window to abrupt environment changes; NewPageHinkleyDetector
-//     accumulates slow ramps. Both learn the stationary floor from the
-//     first observations after every snapshot change.
+//     DriftDetector (internal/drift): the built-in sliding-window
+//     mean-shift detector reacts within about a window to abrupt
+//     environment changes (NewMeanShiftDetector with WithDriftDetector
+//     tunes it). It learns the stationary floor from the first
+//     observations after every snapshot change.
 //   - A detection (the detector flagging for WithDriftHysteresis
 //     consecutive queries) triggers Deployment.Update on a background
 //     goroutine: the Monitor collects the K reference columns through
@@ -346,8 +346,8 @@
 // i.e. where the environment changed — are ranked in MonitorStats
 // .TopLinks, GET /drift's top_links, and the link-labeled gauge above.
 // The EWMA resets on every published snapshot, since a fresh database
-// redefines what "offending" means. WithDriftAttributionTopK sets k
-// (default 3); Monitor.TopLinksInto is the allocation-free accessor.
+// redefines what "offending" means. k is 3, capped at the link count;
+// Monitor.TopLinksInto is the allocation-free accessor.
 //
 // Updates are rate-limited by a cooldown, and by default the cooldown
 // adapts to how bad the drift is: after each triggered update the next
@@ -417,13 +417,13 @@
 // Index type), built once on the serialized publish path and published
 // behind the same atomic pointer as the fingerprints, so queries read
 // it lock-free and never pay index construction. The index stores three
-// views of the M x N matrix — raw columns (nearest-column and KNN
-// matching), mean-centered columns (the drift residual), and centered
+// views of the M x N matrix — raw columns (nearest-column matching),
+// mean-centered columns (the drift residual), and centered
 // unit-norm columns (OMP correlation) — each with per-column norms and
 // per-shard centroid/radius summaries over contiguous strip-aligned
 // column blocks.
 //
-// Three search tiers share that layout:
+// Two search tiers share that layout:
 //
 //   - The default pruned tier returns bit-identical results to an
 //     exhaustive scan (including tie-breaks: lowest column index wins),
@@ -438,30 +438,18 @@
 //     bit-exact baseline the pruned tier is tested against, useful for
 //     audits and A/B comparison (Snapshot.SearchStats counts column and
 //     shard evaluations per tier).
-//   - WithShardedSearch trades a bounded accuracy budget for speed: the
-//     query visits only the Fanout nearest shards (default 4) by
-//     centroid distance. On campus-scale grids (100x the office
-//     geometry) this cuts column-distance evaluations by >20x; the
-//     accuracy budget — mean localization error within 0.1 m of the
-//     exact tier on smoothly-varying fingerprints — is pinned by tests
-//     across multiple seeds (measured degradation is under 0.002 m).
 //
-// The approximate tier only ever affects localization: the drift
-// residual (Monitor.Observe) always runs at least the pruned tier,
-// because the detector's self-calibrated floor is learned from true
-// residuals and an approximate nearest-centered-column would inflate
-// the stream it is calibrated against. Replication carries the
+// Both tiers return the true nearest column, so the drift residual
+// (Monitor.Observe), which the detector's self-calibrated floor is
+// learned from, is exact under either. Replication carries the
 // configuration per end: a follower builds its own index from the
-// replicated bits (WithReplicaExactSearch / WithReplicaShardedSearch),
-// and at the exact or pruned tier follower Locate is bit-identical to
-// the leader's at the same version.
+// replicated bits (WithReplicaExactSearch), and follower Locate is
+// bit-identical to the leader's at the same version.
 //
-// All query entry points — Locate, LocateCell, KNN.Neighbors via
-// NeighborsInto, and Observe's residual — run allocation-free in steady
-// state on a sync.Pool-backed per-query scratch, enforced by
-// testing.AllocsPerRun tests and the benchmark budget gate
-// (BenchmarkLocateLargeGrid, BenchmarkKNNNeighbors in
-// scripts/bench.sh).
+// All query entry points — Locate, LocateCell and Observe's residual —
+// run allocation-free in steady state on a sync.Pool-backed per-query
+// scratch, enforced by testing.AllocsPerRun tests and the benchmark
+// budget gate (BenchmarkLocateLargeGrid in scripts/bench.sh).
 //
 // # Update-path performance
 //

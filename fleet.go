@@ -393,7 +393,7 @@ type SiteSummary struct {
 }
 
 // SearchSummary pairs the serving snapshot's candidate-search tier
-// ("pruned", "exact" or "sharded") with its cumulative SearchStats.
+// ("pruned" or "exact") with its cumulative SearchStats.
 type SearchSummary struct {
 	Tier  string
 	Stats SearchStats

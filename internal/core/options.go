@@ -34,12 +34,16 @@ func (v Variant) String() string {
 	}
 }
 
+// The factorization rank is the number of links M, the paper's choice
+// (Fig 5 shows r = M). The remaining solver constants:
+const (
+	lambda  = 1e-3 // Lagrange/ridge coefficient λ of Eqn 11
+	maxIter = 40   // alternating iterations (the paper's t)
+	tol     = 1e-6 // relative objective-change convergence tolerance
+)
+
 // options holds the reconstruction configuration.
 type options struct {
-	rank        int // 0 = number of links
-	lambda      float64
-	maxIter     int
-	tol         float64
 	variant     Variant
 	seed        uint64 // random initialization of L̂, set per restart
 	useC1       bool
@@ -63,10 +67,6 @@ func (o *options) workers() int {
 
 func defaultOptions() options {
 	return options{
-		rank:      0,
-		lambda:    1e-3,
-		maxIter:   40,
-		tol:       1e-6,
 		variant:   VariantGaussSeidel,
 		useC1:     true,
 		useC2:     true,
@@ -83,19 +83,6 @@ func defaultOptions() options {
 
 // Option configures a Reconstructor.
 type Option func(*options)
-
-// WithRank bounds the factorization rank r; 0 (default) uses the number
-// of links M, the paper's choice (Fig 5 shows r = M).
-func WithRank(r int) Option { return func(o *options) { o.rank = r } }
-
-// WithLambda sets the Lagrange/ridge coefficient λ of Eqn 11.
-func WithLambda(l float64) Option { return func(o *options) { o.lambda = l } }
-
-// WithMaxIter bounds the alternating iterations (the paper's t).
-func WithMaxIter(n int) Option { return func(o *options) { o.maxIter = n } }
-
-// WithTol sets the relative objective-change convergence tolerance.
-func WithTol(tol float64) Option { return func(o *options) { o.tol = tol } }
 
 // WithVariant selects the per-column solve variant.
 func WithVariant(v Variant) Option { return func(o *options) { o.variant = v } }

@@ -25,7 +25,7 @@ func parallelInput(t *testing.T) Input {
 		XB:       xb,
 		B:        mask.B,
 		XR:       xr,
-		Z:        up.Correlation(),
+		Z:        up.z,
 		Links:    fp0.Links,
 		PerStrip: fp0.PerStrip,
 	}
@@ -109,7 +109,7 @@ func TestParallelSweepRace(t *testing.T) {
 	in := parallelInput(t)
 	for _, opts := range [][]Option{
 		{WithWarmStart(true), WithConcurrency(8)},
-		{WithWarmStart(false), WithMaxIter(5), WithConcurrency(8)},
+		{WithWarmStart(false), WithConcurrency(8)},
 		{WithWarmStart(true), WithVariant(VariantPaper), WithConcurrency(8)},
 	} {
 		if x := reconstructWith(t, in, opts...); !x.IsFinite() {

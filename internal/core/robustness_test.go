@@ -166,7 +166,7 @@ func TestChainedUpdatesStayBounded(t *testing.T) {
 			t.Errorf("update %d error %.2f dB ballooned from %.2f", k, e, prevErr)
 		}
 		prevErr = e
-		if err := up.Refresh(updated); err != nil {
+		if up, err = NewUpdater(updated, DefaultUpdaterConfig()); err != nil {
 			t.Fatalf("refresh %d: %v", k, err)
 		}
 	}

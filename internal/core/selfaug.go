@@ -163,14 +163,14 @@ func (rc *Reconstructor) reconstructOnce(in Input, fixedWeights *[4]float64) (*R
 
 	prev := math.Inf(1)
 	iters := 0
-	for t := 0; t < st.o.maxIter; t++ {
+	for t := 0; t < maxIter; t++ {
 		st.updateR()
 		st.updateL()
 		iters = t + 1
 		v := st.objective().Total()
 		if !math.IsInf(prev, 1) {
 			rel := math.Abs(prev-v) / math.Max(v, 1e-12)
-			if rel < st.o.tol {
+			if rel < tol {
 				break
 			}
 		}
@@ -219,15 +219,7 @@ func (rc *Reconstructor) prepare(in Input) (*solverState, error) {
 	if o.useC1 && !useC1 && (in.XR != nil) != (in.Z != nil) {
 		return nil, errors.New("core: Constraint 1 requires both XR and Z")
 	}
-	r := o.rank
-	if r <= 0 {
-		r = m
-	}
-	if r > m {
-		return nil, fmt.Errorf("core: rank %d exceeds link count %d", r, m)
-	}
-
-	st := &solverState{in: in, o: o, m: m, n: n, r: r, k: in.PerStrip}
+	st := &solverState{in: in, o: o, m: m, n: n, r: m, k: in.PerStrip}
 
 	if useC1 {
 		zr, zn := in.Z.Dims()
@@ -263,8 +255,8 @@ func (rc *Reconstructor) prepare(in Input) (*solverState, error) {
 	st.ws = mat.GetWorkspace()
 	st.xhat = st.ws.Dense(m, n)
 	if st.p != nil {
-		st.ltl = st.ws.Dense(r, r)
-		st.rtr = st.ws.Dense(r, r)
+		st.ltl = st.ws.Dense(m, m)
+		st.rtr = st.ws.Dense(m, m)
 	}
 	if o.useC2 {
 		st.xdBuf = st.ws.Dense(m, st.k)
@@ -468,7 +460,7 @@ func (st *solverState) entry(i, j int) float64 {
 // iterate, entirely in per-call scratch.
 func (st *solverState) rawTerms() TermValues {
 	var tv TermValues
-	tv.Ridge = st.o.lambda * (mat.FrobeniusNormSq(st.l) + mat.FrobeniusNormSq(st.rm))
+	tv.Ridge = lambda * (mat.FrobeniusNormSq(st.l) + mat.FrobeniusNormSq(st.rm))
 	mat.MulTBInto(st.xhat, st.l, st.rm)
 	xh := st.xhat.RawData()
 	bd := st.in.B.RawData()

@@ -94,7 +94,7 @@ func (st *solverState) solveColumnR(j int, cx *solveCtx, xd *mat.Dense) {
 		ad[i] = 0
 	}
 	for c := 0; c < r; c++ {
-		ad[c*r+c] = st.o.lambda // Q1
+		ad[c*r+c] = lambda // Q1
 	}
 	rhs := cx.rhs
 	for c := range rhs {
@@ -207,7 +207,7 @@ func (st *solverState) solveRowL(i int, cx *solveCtx, xd *mat.Dense) {
 		ad[idx] = 0
 	}
 	for c := 0; c < r; c++ {
-		ad[c*r+c] = st.o.lambda
+		ad[c*r+c] = lambda
 	}
 	rhs := cx.rhs
 	for c := range rhs {

@@ -88,9 +88,6 @@ func (u *Updater) ReferenceLocations() []int {
 	return out
 }
 
-// Correlation returns a copy of the inherent correlation matrix Z.
-func (u *Updater) Correlation() *mat.Dense { return u.z.Clone() }
-
 // Update reconstructs the fingerprint matrix at time t from the
 // no-decrease scan (xb, mask) and the fresh reference matrix xr whose
 // columns correspond to ReferenceLocations() in order.
@@ -114,16 +111,4 @@ func (u *Updater) Update(xb *mat.Dense, mask fingerprint.Mask, xr *mat.Dense, t 
 		return fingerprint.Matrix{}, nil, err
 	}
 	return fingerprint.New(res.X, t), res, nil
-}
-
-// Refresh re-runs correlation acquisition on a newly reconstructed (or
-// freshly surveyed) matrix so subsequent updates track the latest
-// database state, as Fig 10's feedback loop prescribes.
-func (u *Updater) Refresh(latest fingerprint.Matrix) error {
-	nu, err := NewUpdater(latest, u.cfg)
-	if err != nil {
-		return err
-	}
-	*u = *nu
-	return nil
 }

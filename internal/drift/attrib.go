@@ -31,13 +31,7 @@ func NewAttribution(links int, alpha float64) *Attribution {
 	return &Attribution{alpha: alpha, ew: make([]float64, links)}
 }
 
-// Links returns the number of tracked links.
-func (a *Attribution) Links() int { return len(a.ew) }
-
-// Observations returns the number of samples since construction/Reset.
-func (a *Attribution) Observations() uint64 { return a.n }
-
-// Observe folds one per-link error vector (length Links()) into the
+// Observe folds one per-link error vector (one entry per link) into the
 // averages. The first observation seeds the EWMA directly.
 func (a *Attribution) Observe(perLink []float64) {
 	if a.n == 0 {
@@ -59,12 +53,9 @@ func (a *Attribution) Reset() {
 	a.n = 0
 }
 
-// LinkError returns link i's current EWMA error (dB).
-func (a *Attribution) LinkError(i int) float64 { return a.ew[i] }
-
 // TopK writes the worst-offending links in descending EWMA-error order
 // into outLink/outErr (parallel slices, both at least as long as the
-// wanted k) and returns how many entries were filled: min(k, Links()),
+// wanted k) and returns how many entries were filled: min(k, links),
 // or 0 before the first observation. No allocation is performed.
 func (a *Attribution) TopK(outLink []int, outErr []float64) int {
 	k := len(outLink)

@@ -2,26 +2,6 @@ package drift
 
 import "math"
 
-// Detector is a streaming change detector over the residual sequence.
-// Implementations are self-calibrating: they learn the stationary
-// residual floor from the first samples after construction or Reset and
-// flag when the stream shifts away from it. Implementations need not be
-// safe for concurrent use; callers serialize Observe.
-type Detector interface {
-	// Observe consumes one residual and reports whether drift is
-	// flagged at this sample. During calibration it always reports
-	// false.
-	Observe(residual float64) bool
-	// Score returns the current drift statistic normalized by the
-	// detection threshold: ~0 at the calibrated floor, >= 1 while
-	// flagging. During calibration it returns 0.
-	Score() float64
-	// Reset discards all state including the calibrated floor; the
-	// detector re-calibrates on the samples that follow (e.g. after a
-	// database update changes the residual baseline).
-	Reset()
-}
-
 // baseline accumulates the calibration-phase mean and standard deviation
 // of the residual floor.
 type baseline struct {
@@ -118,8 +98,11 @@ func (c MeanShiftConfig) withDefaults() MeanShiftConfig {
 
 // MeanShift flags drift when the mean of the last Window residuals
 // exceeds the calibrated floor by a threshold: a robust detector for the
-// abrupt, persistent shifts an environment change produces. The ring
-// buffer is allocated once at construction; Observe is allocation-free.
+// abrupt, persistent shifts an environment change produces. It is
+// self-calibrating: it learns the stationary residual floor from the
+// first samples after construction or Reset. The ring buffer is
+// allocated once at construction; Observe is allocation-free. It is not
+// safe for concurrent use; callers serialize access.
 type MeanShift struct {
 	cfg    MeanShiftConfig
 	base   baseline
@@ -128,8 +111,6 @@ type MeanShift struct {
 	filled int
 	winSum float64
 }
-
-var _ Detector = (*MeanShift)(nil)
 
 // NewMeanShift builds the detector (zero-value config fields select
 // defaults).
@@ -142,7 +123,8 @@ func NewMeanShift(cfg MeanShiftConfig) *MeanShift {
 	}
 }
 
-// Observe implements Detector.
+// Observe consumes one residual and reports whether drift is flagged at
+// this sample. During calibration it always reports false.
 func (d *MeanShift) Observe(r float64) bool {
 	if !d.base.observe(r, d.cfg.MinSigma) {
 		return false
@@ -164,8 +146,9 @@ func (d *MeanShift) threshold() float64 {
 	return math.Max(d.cfg.K*d.base.sigma, d.cfg.MinShiftDB)
 }
 
-// Score implements Detector: the window mean's excess over the floor in
-// threshold units.
+// Score returns the window mean's excess over the floor in threshold
+// units: ~0 at the calibrated floor, >= 1 while flagging, 0 during
+// calibration.
 func (d *MeanShift) Score() float64 {
 	if d.filled == 0 || d.base.n < d.base.target {
 		return 0
@@ -173,7 +156,9 @@ func (d *MeanShift) Score() float64 {
 	return (d.winSum/float64(d.filled) - d.base.mu) / d.threshold()
 }
 
-// Reset implements Detector.
+// Reset discards all state including the calibrated floor; the
+// detector re-calibrates on the samples that follow (e.g. after a
+// database update changes the residual baseline).
 func (d *MeanShift) Reset() {
 	d.base.reset()
 	for i := range d.ring {
@@ -191,98 +176,6 @@ func (d *MeanShift) Baseline() (mu, sigma float64, ok bool) { return d.base.expo
 // sliding window refills (Window observations instead of Baseline +
 // Window). All streaming state is reset first.
 func (d *MeanShift) SetBaseline(mu, sigma float64) {
-	d.Reset()
-	d.base.install(mu, sigma, d.cfg.MinSigma)
-}
-
-// PageHinkleyConfig tunes the Page-Hinkley (one-sided CUSUM) detector.
-// The zero value selects the defaults noted per field.
-type PageHinkleyConfig struct {
-	// Baseline is the number of calibration samples. Default 200.
-	Baseline int
-	// Delta is the drift allowance in floor-sigma units: deviations
-	// below mu0 + Delta*sigma0 decay the statistic instead of growing
-	// it. Default 0.5.
-	Delta float64
-	// Lambda is the detection threshold on the cumulative statistic in
-	// floor-sigma units. Default 40.
-	Lambda float64
-	// MinSigma floors the learned sigma0 (dB). Default 0.02.
-	MinSigma float64
-}
-
-func (c PageHinkleyConfig) withDefaults() PageHinkleyConfig {
-	if c.Baseline <= 0 {
-		c.Baseline = 200
-	}
-	if c.Delta <= 0 {
-		c.Delta = 0.5
-	}
-	if c.Lambda <= 0 {
-		c.Lambda = 40
-	}
-	if c.MinSigma <= 0 {
-		c.MinSigma = 0.02
-	}
-	return c
-}
-
-// PageHinkley accumulates the excess of each residual over the
-// calibrated floor (minus a drift allowance) and flags when the
-// accumulated excess rises Lambda sigmas above its running minimum — the
-// classic sequential test for a sustained upward mean change. It detects
-// slow ramps that never push a single window over the MeanShift
-// threshold, at the cost of a longer delay on abrupt shifts.
-type PageHinkley struct {
-	cfg  PageHinkleyConfig
-	base baseline
-	mt   float64
-	min  float64
-}
-
-var _ Detector = (*PageHinkley)(nil)
-
-// NewPageHinkley builds the detector (zero-value config fields select
-// defaults).
-func NewPageHinkley(cfg PageHinkleyConfig) *PageHinkley {
-	cfg = cfg.withDefaults()
-	return &PageHinkley{cfg: cfg, base: baseline{target: cfg.Baseline}}
-}
-
-// Observe implements Detector.
-func (d *PageHinkley) Observe(r float64) bool {
-	if !d.base.observe(r, d.cfg.MinSigma) {
-		return false
-	}
-	d.mt += r - d.base.mu - d.cfg.Delta*d.base.sigma
-	if d.mt < d.min {
-		d.min = d.mt
-	}
-	return d.mt-d.min > d.cfg.Lambda*d.base.sigma
-}
-
-// Score implements Detector.
-func (d *PageHinkley) Score() float64 {
-	if d.base.n < d.base.target {
-		return 0
-	}
-	return (d.mt - d.min) / (d.cfg.Lambda * d.base.sigma)
-}
-
-// Reset implements Detector.
-func (d *PageHinkley) Reset() {
-	d.base.reset()
-	d.mt, d.min = 0, 0
-}
-
-// Baseline exports the calibrated residual floor for persistence; ok is
-// false while the detector is still calibrating.
-func (d *PageHinkley) Baseline() (mu, sigma float64, ok bool) { return d.base.export() }
-
-// SetBaseline installs a previously exported floor, skipping the
-// calibration window entirely: the cumulative statistic restarts at
-// zero against the installed floor. All streaming state is reset first.
-func (d *PageHinkley) SetBaseline(mu, sigma float64) {
 	d.Reset()
 	d.base.install(mu, sigma, d.cfg.MinSigma)
 }

@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"iupdater/internal/loc"
 )
 
 // toy fingerprint matrix: 4 links, 3 locations, distinct column shapes.
@@ -14,14 +16,20 @@ var toyCols = [][]float64{
 }
 
 func toyResidualizer() *Residualizer {
-	return NewResidualizer(4, 3, func(i, j int) float64 { return toyCols[j][i] })
+	ix := loc.NewIndexCols(4, 3, func(j int, dst []float64) { copy(dst, toyCols[j]) }, 0, loc.IndexConfig{})
+	return NewResidualizerIndex(ix)
+}
+
+// residual is the staleness residual of y without its per-link terms.
+func residual(r *Residualizer, y, scratch []float64) float64 {
+	return r.ResidualAttributed(y, scratch, make([]float64, r.Links()))
 }
 
 func TestResidualExactMatchIsZero(t *testing.T) {
 	r := toyResidualizer()
 	scratch := make([]float64, 4)
 	for j, col := range toyCols {
-		if got := r.Residual(col, scratch); got > 1e-12 {
+		if got := residual(r, col, scratch); got > 1e-12 {
 			t.Errorf("column %d: residual %g, want 0", j, got)
 		}
 	}
@@ -36,7 +44,7 @@ func TestResidualIgnoresCommonMode(t *testing.T) {
 	for i, v := range toyCols[1] {
 		y[i] = v + 7.5
 	}
-	if got := r.Residual(y, scratch); got > 1e-12 {
+	if got := residual(r, y, scratch); got > 1e-12 {
 		t.Errorf("common-mode offset: residual %g, want 0", got)
 	}
 }
@@ -52,12 +60,12 @@ func TestResidualBestMatch(t *testing.T) {
 	y[0] += delta
 	m := 4.0
 	want := math.Sqrt(delta * delta * (1 - 1/m) / m)
-	if got := r.Residual(y, scratch); math.Abs(got-want) > 1e-12 {
+	if got := residual(r, y, scratch); math.Abs(got-want) > 1e-12 {
 		t.Errorf("one-link deviation: residual %g, want %g", got, want)
 	}
 	// The best match must still be the true column: a residual against
 	// the other columns would be far larger.
-	if got := r.Residual(y, scratch); got > 3 {
+	if got := residual(r, y, scratch); got > 3 {
 		t.Errorf("residual %g suggests wrong best-match column", got)
 	}
 }
@@ -65,11 +73,13 @@ func TestResidualBestMatch(t *testing.T) {
 func TestResidualAllocationFree(t *testing.T) {
 	r := toyResidualizer()
 	scratch := make([]float64, 4)
-	y := append([]float64(nil), toyCols[2]...)
+	perLink := make([]float64, 4)
+	y := append([]float64(nil), toyCols[0]...)
+	y[1] += 1.5
 	if allocs := testing.AllocsPerRun(200, func() {
-		r.Residual(y, scratch)
+		r.ResidualAttributed(y, scratch, perLink)
 	}); allocs != 0 {
-		t.Errorf("Residual allocates %.1f per call, want 0", allocs)
+		t.Errorf("residual allocates %.1f per call, want 0", allocs)
 	}
 }
 
@@ -118,42 +128,12 @@ func TestMeanShiftDetectsShiftNotNoise(t *testing.T) {
 	}
 }
 
-func TestPageHinkleyDetectsSlowRamp(t *testing.T) {
-	d := NewPageHinkley(PageHinkleyConfig{Baseline: 200, Delta: 0.5, Lambda: 40})
-	next := noisyStream(7, 1.0, 0.1)
-	for i := 0; i < 5000; i++ {
-		if d.Observe(next()) {
-			t.Fatalf("false positive at stationary sample %d", i)
-		}
-	}
-	// A slow ramp of +0.002 dB per sample: single windows barely move,
-	// but the cumulative statistic must cross within a few thousand
-	// samples.
-	rng := rand.New(rand.NewSource(9))
-	flaggedAt := -1
-	for i := 0; i < 4000; i++ {
-		r := 1.0 + 0.002*float64(i) + 0.1*rng.NormFloat64()
-		if d.Observe(r) {
-			flaggedAt = i
-			break
-		}
-	}
-	if flaggedAt < 0 {
-		t.Fatal("slow ramp never flagged")
-	}
-	d.Reset()
-	if s := d.Score(); s != 0 {
-		t.Fatalf("score %.2f after Reset, want 0", s)
-	}
-}
-
 func TestDetectorsAllocationFree(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		d    Detector
+		d    *MeanShift
 	}{
 		{"MeanShift", NewMeanShift(MeanShiftConfig{})},
-		{"PageHinkley", NewPageHinkley(PageHinkleyConfig{})},
 	} {
 		next := noisyStream(11, 1.0, 0.1)
 		for i := 0; i < 500; i++ { // past calibration
@@ -169,7 +149,7 @@ func TestDetectorsAllocationFree(t *testing.T) {
 }
 
 func TestDetectorsDeterministic(t *testing.T) {
-	run := func(d Detector) []bool {
+	run := func(d *MeanShift) []bool {
 		next := noisyStream(3, 1.0, 0.2)
 		out := make([]bool, 3000)
 		for i := range out {
@@ -186,13 +166,6 @@ func TestDetectorsDeterministic(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatalf("MeanShift diverges at %d", i)
-		}
-	}
-	c := run(NewPageHinkley(PageHinkleyConfig{}))
-	d := run(NewPageHinkley(PageHinkleyConfig{}))
-	for i := range c {
-		if c[i] != d[i] {
-			t.Fatalf("PageHinkley diverges at %d", i)
 		}
 	}
 }
@@ -241,23 +214,6 @@ func TestBaselineExportImportSkipsCalibration(t *testing.T) {
 	}
 	if flaggedAt < 0 || flaggedAt > 128 {
 		t.Fatalf("restored detector flagged at %d, want within 128", flaggedAt)
-	}
-
-	// Same restart contract for Page-Hinkley.
-	ph := NewPageHinkley(PageHinkleyConfig{Baseline: 200, Delta: 0.5, Lambda: 40})
-	ph.SetBaseline(mu, sigma)
-	if _, _, ok := ph.Baseline(); !ok {
-		t.Fatal("PageHinkley not calibrated after SetBaseline")
-	}
-	flaggedAt = -1
-	for i := 0; i < 500; i++ {
-		if ph.Observe(shifted()) {
-			flaggedAt = i
-			break
-		}
-	}
-	if flaggedAt < 0 {
-		t.Fatal("restored PageHinkley never flagged a 10-sigma shift")
 	}
 }
 

@@ -18,7 +18,8 @@
 //
 // Everything in this package is allocation-free in steady state: the
 // Residualizer scores a query into caller-provided scratch, and the
-// detectors run on O(1) or fixed-ring state allocated at construction.
+// mean-shift detector runs on fixed-ring state allocated at
+// construction.
 package drift
 
 import (
@@ -29,29 +30,17 @@ import (
 
 // Residualizer scores online RSS vectors against one fingerprint
 // database version. It runs the best-match search through a loc.Index —
-// typically the one already built for the snapshot's localizer, so
-// monitoring a new version costs no extra column copies. Residual is
+// the one already built for the snapshot's localizer, so monitoring a
+// new version costs no extra column copies. ResidualAttributed is
 // read-only and safe for concurrent use.
 //
-// The residual is exact regardless of the index's configured search
-// tier: the index answers the centered nearest-column query through its
-// pruning bounds (same value as the exhaustive scan, fewer columns
-// touched) and never through the approximate sharded routing, because
-// change detectors are calibrated against the true residual.
+// The residual is exact under either search tier: the pruned index
+// answers the centered nearest-column query through its bounds with
+// the exhaustive scan's value, fewer columns touched, so change
+// detectors are calibrated against the true residual.
 type Residualizer struct {
 	m  int
 	ix *loc.Index
-}
-
-// NewResidualizer builds the scorer for an m-link by n-location
-// fingerprint matrix read through at.
-func NewResidualizer(m, n int, at func(i, j int) float64) *Residualizer {
-	ix := loc.NewIndexCols(m, n, func(j int, dst []float64) {
-		for i := range dst {
-			dst[i] = at(i, j)
-		}
-	}, 0, loc.IndexConfig{})
-	return NewResidualizerIndex(ix)
 }
 
 // NewResidualizerIndex builds the scorer over a prebuilt column index,
@@ -64,30 +53,14 @@ func NewResidualizerIndex(ix *loc.Index) *Residualizer {
 // Links returns the number of links m a query vector must have.
 func (r *Residualizer) Links() int { return r.m }
 
-// Residual returns the staleness residual for one online measurement y:
-// the RMS distance (dB per link) between the centered query and the
-// nearest centered fingerprint column. scratch must have length >=
-// Links() and is overwritten; no allocation is performed.
-func (r *Residualizer) Residual(y, scratch []float64) float64 {
-	m := r.m
-	var mean float64
-	for _, v := range y[:m] {
-		mean += v
-	}
-	mean /= float64(m)
-	yc := scratch[:m]
-	for i, v := range y[:m] {
-		yc[i] = v - mean
-	}
-	_, best := r.ix.NearestCentered(yc)
-	return math.Sqrt(best / float64(m))
-}
-
-// ResidualAttributed is Residual plus per-link attribution: perLink[i]
-// receives the absolute shape error |yc[i] - col[i]| (dB) between the
-// centered query and its best-matching centered fingerprint column at
-// link i — the per-link terms the RMS residual collapses. perLink must
-// have length >= Links(); no allocation is performed.
+// ResidualAttributed returns the staleness residual for one online
+// measurement y — the RMS distance (dB per link) between the centered
+// query and the nearest centered fingerprint column — plus per-link
+// attribution: perLink[i] receives the absolute shape error
+// |yc[i] - col[i]| (dB) between the centered query and that column at
+// link i, the per-link terms the RMS residual collapses. scratch and
+// perLink must have length >= Links(); scratch is overwritten. No
+// allocation is performed.
 func (r *Residualizer) ResidualAttributed(y, scratch, perLink []float64) float64 {
 	m := r.m
 	var mean float64

@@ -3,8 +3,6 @@ package eval
 import (
 	"math"
 	"testing"
-
-	"iupdater"
 )
 
 // TestDriftStationaryNoFalsePositives streams >= 10k queries against an
@@ -157,25 +155,5 @@ func TestDriftRunDeterministic(t *testing.T) {
 		a.AutoErrDB != b.AutoErrDB || a.ManualErrDB != b.ManualErrDB {
 		t.Errorf("runs diverge:\n a: %+v (delay %d)\n b: %+v (delay %d)",
 			a.Stats, a.DetectionDelay, b.Stats, b.DetectionDelay)
-	}
-}
-
-// TestDriftPageHinkleyAlsoCloses runs the flip scenario with the
-// alternate detector plugged in, demonstrating the Detector seam.
-func TestDriftPageHinkleyAlsoCloses(t *testing.T) {
-	res, err := DriftMonitorRun(DriftRunConfig{
-		Seed:     1,
-		Queries:  1200,
-		FlipAt:   600,
-		Detector: iupdater.NewPageHinkleyDetector(0, 0, 0),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Stats.Detections == 0 || res.Stats.UpdatesCompleted == 0 {
-		t.Fatalf("Page-Hinkley loop did not close: %+v", res.Stats)
-	}
-	if res.DetectionDelay < 0 || res.DetectionDelay > 256 {
-		t.Errorf("Page-Hinkley detection delay %d, want within 256", res.DetectionDelay)
 	}
 }

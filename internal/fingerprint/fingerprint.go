@@ -37,16 +37,6 @@ func New(x *mat.Dense, collectedAt float64) Matrix {
 	return Matrix{X: x, Links: m, PerStrip: n / m, CollectedAt: collectedAt}
 }
 
-// NumCells returns N.
-func (f Matrix) NumCells() int { return f.Links * f.PerStrip }
-
-// Clone returns a deep copy.
-func (f Matrix) Clone() Matrix {
-	out := f
-	out.X = f.X.Clone()
-	return out
-}
-
 // LargeDecrease extracts the largely-decrease matrix X_D (Definition 2):
 // the M x K submatrix of entries where the target blocks the direct path,
 // X_D(i, u) = X(i, i*K + u).

@@ -215,14 +215,22 @@ func TestALSSmallForSimilarLinks(t *testing.T) {
 
 func TestMaskCounts(t *testing.T) {
 	m := NewMask(2, 4, func(i, j int) bool { return i == 0 && j < 2 })
-	if got := m.KnownCount(); got != 6 {
-		t.Errorf("KnownCount = %d, want 6", got)
+	known := 0
+	for i := 0; i < 2; i++ {
+		for j := 0; j < 4; j++ {
+			if m.Known(i, j) {
+				known++
+			}
+			if v := m.B.At(i, j); v != 0 && v != 1 {
+				t.Errorf("mask entry (%d,%d) = %v, want 0 or 1", i, j, v)
+			}
+		}
+	}
+	if known != 6 {
+		t.Errorf("known entries = %d, want 6", known)
 	}
 	if m.Known(0, 0) || !m.Known(1, 0) {
 		t.Error("Known() misclassifies")
-	}
-	if err := m.Validate(); err != nil {
-		t.Errorf("Validate: %v", err)
 	}
 }
 

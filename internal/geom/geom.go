@@ -48,14 +48,6 @@ func (l Link) Project(p Point) (t, perp float64) {
 	return t, perp
 }
 
-// ExcessPathLength returns d(TX,p) + d(p,RX) - d(TX,RX): how much longer
-// the path through p is than the direct path. It is the quantity that
-// determines Fresnel zone membership: p lies inside the first zone
-// when it is below half a wavelength.
-func (l Link) ExcessPathLength(p Point) float64 {
-	return l.TX.Distance(p) + p.Distance(l.RX) - l.Length()
-}
-
 // Grid is the strip-major division of the monitoring area into N = M*K
 // cells: one strip of K cells along each of the M parallel links, cells
 // ordered TX->RX within a strip. Location index j (0-based here; the paper

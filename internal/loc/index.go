@@ -21,53 +21,35 @@ const (
 	SearchPruned SearchMode = iota
 	// SearchExact is the bit-exact exhaustive reference: every column is
 	// evaluated in ascending index order with no bounds machinery. It
-	// exists so the pruned and sharded tiers always have a ground truth
-	// to be checked against (and for callers that want the paper's
-	// original O(M*N) scan back).
+	// exists so the pruned tier always has a ground truth to be checked
+	// against (and for callers that want the paper's original O(M*N)
+	// scan back).
 	SearchExact
-	// SearchSharded is the approximate coarse-to-fine tier: the query is
-	// routed to the Fanout most promising shards (by centroid
-	// distance/correlation) and only their columns are evaluated. Results
-	// can differ from exact when the true best column lives in a shard
-	// beyond the fanout; the accuracy budget is measured by the eval
-	// tests, not assumed.
-	SearchSharded
 )
 
-// String names the search tier ("pruned", "exact", "sharded") for
-// summaries and metric labels.
+// String names the search tier ("pruned", "exact") for summaries and
+// metric labels.
 func (m SearchMode) String() string {
-	switch m {
-	case SearchExact:
+	if m == SearchExact {
 		return "exact"
-	case SearchSharded:
-		return "sharded"
-	default:
-		return "pruned"
 	}
+	return "pruned"
 }
 
 // IndexConfig tunes an Index.
 type IndexConfig struct {
 	// Mode selects the search tier; the zero value is SearchPruned.
 	Mode SearchMode
-	// Fanout is the number of shards examined per query in SearchSharded
-	// mode; <= 0 selects the default (4).
-	Fanout int
 	// BlockSize is the number of grid cells per shard; <= 0 selects
 	// ~sqrt(N) clipped to strip boundaries, which balances the coarse
 	// routing scan against the fine per-column scan.
 	BlockSize int
 }
 
-// DefaultShardFanout is the sharded-mode routing width when
-// IndexConfig.Fanout is unset.
-const DefaultShardFanout = 4
-
 // IndexStats are cumulative counters of the search work an Index has
 // performed, read with Index.Stats. ColumnEvals is the number of full
 // column evaluations (one length-M inner product or distance each) —
-// the quantity the pruned and sharded tiers exist to reduce; the
+// the quantity the pruned tier exists to reduce; the
 // exhaustive reference costs N of them per candidate search.
 type IndexStats struct {
 	// Queries is the number of candidate searches answered.
@@ -99,7 +81,7 @@ type SearchInfo struct {
 }
 
 // space is one geometric view of the fingerprint columns: the raw
-// columns (nearest-column and KNN matching), the mean-centered columns
+// columns (nearest-column matching), the mean-centered columns
 // (the drift residual), or the centered-and-normalized unit columns
 // (OMP correlation). Each carries the per-shard centroid/radius bounds
 // and per-column norms for its own metric.
@@ -118,7 +100,7 @@ type shardRange struct{ lo, hi int }
 // Index is a snapshot-time search accelerator over one immutable
 // fingerprint matrix. It is built once per published snapshot (on the
 // write path) and answers the read path's candidate-column searches:
-// nearest raw column (NearestColumn, KNN), nearest centered column (the
+// nearest raw column (NearestColumn), nearest centered column (the
 // drift residual) and best unit-column correlation (OMP pursuit).
 //
 // All storage is column-major — the exhaustive reference scan alone is
@@ -133,8 +115,7 @@ type Index struct {
 	cen  space // mean-centered columns
 	unit space // mean-centered, unit-normalized columns
 
-	colMean []float64 // per-column raw mean
-	shards  []shardRange
+	shards []shardRange
 
 	queries    atomic.Uint64
 	colEvals   atomic.Uint64
@@ -162,9 +143,6 @@ func NewIndexCols(m, n int, col func(j int, dst []float64), stripLen int, cfg In
 	if m <= 0 || n <= 0 {
 		panic("loc: NewIndex requires positive dimensions")
 	}
-	if cfg.Fanout <= 0 {
-		cfg.Fanout = DefaultShardFanout
-	}
 	ix := &Index{m: m, n: n, cfg: cfg}
 	ix.raw.data = make([]float64, m*n)
 	ix.cen.data = make([]float64, m*n)
@@ -172,7 +150,6 @@ func NewIndexCols(m, n int, col func(j int, dst []float64), stripLen int, cfg In
 	ix.raw.norms = make([]float64, n)
 	ix.cen.norms = make([]float64, n)
 	ix.unit.norms = make([]float64, n)
-	ix.colMean = make([]float64, n)
 	for j := 0; j < n; j++ {
 		rawj := ix.raw.data[j*m : (j+1)*m]
 		col(j, rawj)
@@ -181,7 +158,6 @@ func NewIndexCols(m, n int, col func(j int, dst []float64), stripLen int, cfg In
 			mean += v
 		}
 		mean /= float64(m)
-		ix.colMean[j] = mean
 		cenj := ix.cen.data[j*m : (j+1)*m]
 		unitj := ix.unit.data[j*m : (j+1)*m]
 		var rawSq, cenSq float64
@@ -301,11 +277,8 @@ func (ix *Index) CenteredCol(j int) []float64 { return ix.cen.data[j*ix.m : (j+1
 // modify — copy before masking).
 func (ix *Index) colNorms() []float64 { return ix.cen.norms }
 
-// colMeans returns the per-column raw means (a view).
-func (ix *Index) colMeans() []float64 { return ix.colMean }
-
 // queryScratch is the pooled per-query working state: shard routing
-// order and keys, the top-k heap, and the OMP pursuit buffers. All
+// order and keys, and the OMP pursuit buffers. All
 // slices grow to the index's dimensions on first use and are then
 // reused, so steady-state queries perform zero allocations.
 //
@@ -318,9 +291,6 @@ func (ix *Index) colMeans() []float64 { return ix.colMean }
 type queryScratch struct {
 	order []int     // shard visit order
 	key   []float64 // shard routing key, parallel to order
-
-	heapJ []int     // top-k heap: column indices
-	heapD []float64 // top-k heap: squared distances
 
 	yc     []float64 // centered query
 	target []float64 // centered query preserved across pursuit rounds
@@ -430,12 +400,11 @@ func sortByKey(order []int, key []float64, desc bool) {
 
 // nearest returns the column of sp minimizing the squared Euclidean
 // distance to q, with ties resolved to the lowest column index, plus
-// that squared distance. Exact under SearchExact and SearchPruned;
-// under SearchSharded only the Fanout nearest shards are searched.
-func (ix *Index) nearest(sp *space, q []float64, mode SearchMode) (int, float64) {
+// that squared distance. Both tiers return the same answer.
+func (ix *Index) nearest(sp *space, q []float64) (int, float64) {
 	best, bestJ := math.Inf(1), -1
 	var ce, se uint64
-	if mode == SearchExact || len(ix.shards) <= 1 {
+	if ix.cfg.Mode == SearchExact || len(ix.shards) <= 1 {
 		for j := 0; j < ix.n; j++ {
 			d := distSq(q, sp.data[j*ix.m:(j+1)*ix.m])
 			ce++
@@ -452,16 +421,11 @@ func (ix *Index) nearest(sp *space, q []float64, mode SearchMode) (int, float64)
 		qn = math.Sqrt(qn)
 		S := ix.routeByDistance(sp, q, s)
 		se = uint64(S)
-		visited := 0
 		for _, si := range s.order {
-			if mode == SearchSharded && visited >= ix.cfg.Fanout {
-				break
-			}
 			lb := s.key[si]
 			if lb*lb*pruneSlack > best {
 				break // shards are in ascending bound order: all pruned
 			}
-			visited++
 			sh := ix.shards[si]
 			for j := sh.lo; j < sh.hi; j++ {
 				// Cheap per-column norm bound: d >= (|x_j| - |q|)^2.
@@ -486,165 +450,17 @@ func (ix *Index) nearest(sp *space, q []float64, mode SearchMode) (int, float64)
 	return bestJ, best
 }
 
-// topK fills outJ/outD (length >= k) with the k columns of sp nearest
-// to q in ascending (squared distance, column) order and returns k.
-// Ties resolve to lower column indices. Exactness per mode is as in
-// nearest.
-func (ix *Index) topK(sp *space, q []float64, k int, outJ []int, outD []float64, mode SearchMode) int {
-	if k > ix.n {
-		k = ix.n
-	}
-	if k <= 0 {
-		return 0
-	}
-	s := ix.getScratch()
-	s.heapJ = growI(s.heapJ, 0)
-	s.heapD = growF(s.heapD, 0)
-	var ce, se uint64
-	push := func(j int, d float64) {
-		if len(s.heapJ) < k {
-			s.heapJ = append(s.heapJ, j)
-			s.heapD = append(s.heapD, d)
-			siftUp(s.heapJ, s.heapD, len(s.heapJ)-1)
-			return
-		}
-		// Replace the root (the worst kept candidate) when (d, j) is
-		// lexicographically better.
-		if d > s.heapD[0] || (d == s.heapD[0] && j > s.heapJ[0]) {
-			return
-		}
-		s.heapJ[0], s.heapD[0] = j, d
-		siftDown(s.heapJ, s.heapD, 0)
-	}
-	bound := func() float64 {
-		if len(s.heapJ) < k {
-			return math.Inf(1)
-		}
-		return s.heapD[0]
-	}
-	if mode == SearchExact || len(ix.shards) <= 1 {
-		for j := 0; j < ix.n; j++ {
-			d := distSq(q, sp.data[j*ix.m:(j+1)*ix.m])
-			ce++
-			push(j, d)
-		}
-	} else {
-		var qn float64
-		for _, v := range q {
-			qn += v * v
-		}
-		qn = math.Sqrt(qn)
-		S := ix.routeByDistance(sp, q, s)
-		se = uint64(S)
-		visited := 0
-		for _, si := range s.order {
-			if mode == SearchSharded && visited >= ix.cfg.Fanout {
-				break
-			}
-			lb := s.key[si]
-			if b := bound(); lb*lb*pruneSlack > b {
-				break
-			}
-			visited++
-			sh := ix.shards[si]
-			for j := sh.lo; j < sh.hi; j++ {
-				nb := sp.norms[j] - qn
-				if b := bound(); nb*nb*pruneSlack > b {
-					continue
-				}
-				d := distSq(q, sp.data[j*ix.m:(j+1)*ix.m])
-				ce++
-				push(j, d)
-			}
-		}
-	}
-	// Drain the max-heap back to front for ascending output.
-	got := len(s.heapJ)
-	for i := got - 1; i >= 0; i-- {
-		outJ[i], outD[i] = s.heapJ[0], s.heapD[0]
-		last := len(s.heapJ) - 1
-		s.heapJ[0], s.heapD[0] = s.heapJ[last], s.heapD[last]
-		s.heapJ = s.heapJ[:last]
-		s.heapD = s.heapD[:last]
-		if last > 0 {
-			siftDown(s.heapJ, s.heapD, 0)
-		}
-	}
-	ix.putScratch(s)
-	ix.queries.Add(1)
-	ix.colEvals.Add(ce)
-	if se > 0 {
-		ix.shardEvals.Add(se)
-	}
-	return got
-}
-
-// heapWorse reports whether entry a is lexicographically worse (larger
-// distance, then larger index) than entry b — the max-heap ordering.
-func heapWorse(hJ []int, hD []float64, a, b int) bool {
-	if hD[a] != hD[b] {
-		return hD[a] > hD[b]
-	}
-	return hJ[a] > hJ[b]
-}
-
-func siftUp(hJ []int, hD []float64, i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !heapWorse(hJ, hD, i, p) {
-			return
-		}
-		hJ[i], hJ[p] = hJ[p], hJ[i]
-		hD[i], hD[p] = hD[p], hD[i]
-		i = p
-	}
-}
-
-func siftDown(hJ []int, hD []float64, i int) {
-	n := len(hJ)
-	for {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < n && heapWorse(hJ, hD, l, worst) {
-			worst = l
-		}
-		if r < n && heapWorse(hJ, hD, r, worst) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		hJ[i], hJ[worst] = hJ[worst], hJ[i]
-		hD[i], hD[worst] = hD[worst], hD[i]
-		i = worst
-	}
-}
-
 // NearestRaw returns the raw fingerprint column nearest to y and the
 // squared Euclidean distance to it.
 func (ix *Index) NearestRaw(y []float64) (int, float64) {
-	return ix.nearest(&ix.raw, y, ix.cfg.Mode)
-}
-
-// TopKRaw fills outJ/outD with the k raw columns nearest to y in
-// ascending (squared distance, column) order and returns how many were
-// produced (min(k, n)).
-func (ix *Index) TopKRaw(y []float64, k int, outJ []int, outD []float64) int {
-	return ix.topK(&ix.raw, y, k, outJ, outD, ix.cfg.Mode)
+	return ix.nearest(&ix.raw, y)
 }
 
 // NearestCentered returns the mean-centered column nearest to the
 // already-centered query yc and the squared distance to it. The drift
-// residualizer's best-match search is exactly this call — and because
-// change detectors are calibrated against the true residual, it never
-// uses the approximate sharded tier: a sharded index answers this query
-// through the (exact) pruned tier instead.
+// residualizer's best-match search is exactly this call.
 func (ix *Index) NearestCentered(yc []float64) (int, float64) {
-	mode := ix.cfg.Mode
-	if mode == SearchSharded {
-		mode = SearchPruned
-	}
-	return ix.nearest(&ix.cen, yc, mode)
+	return ix.nearest(&ix.cen, yc)
 }
 
 // bestCorr returns the column maximizing |<unit_j, resid>| over columns
@@ -659,10 +475,9 @@ func (ix *Index) NearestCentered(yc []float64) (int, float64) {
 //	|<u_j, r>| <= |<c_s, r>| + ||u_j - c_s|| * ||r||
 //	           <= |<c_s, r>| + rad_s * ||r||,
 //
-// so a shard whose bound cannot beat the current best is skipped whole;
-// exact under SearchPruned, routed to the Fanout best-bounded shards
-// under SearchSharded.
-func (ix *Index) bestCorr(resid []float64, norms []float64, excluded []int, mode SearchMode, info *SearchInfo) (int, float64) {
+// so a shard whose bound cannot beat the current best is skipped whole
+// without changing the answer.
+func (ix *Index) bestCorr(resid []float64, norms []float64, excluded []int, info *SearchInfo) (int, float64) {
 	if norms == nil {
 		norms = ix.cen.norms
 	}
@@ -688,7 +503,7 @@ func (ix *Index) bestCorr(resid []float64, norms []float64, excluded []int, mode
 	best, bestJ := 0.0, -1
 	var ce, se uint64
 	var visited int
-	if mode == SearchExact || len(ix.shards) <= 1 {
+	if ix.cfg.Mode == SearchExact || len(ix.shards) <= 1 {
 		for j := 0; j < ix.n; j++ {
 			if skip(j) {
 				continue
@@ -721,9 +536,6 @@ func (ix *Index) bestCorr(resid []float64, norms []float64, excluded []int, mode
 		se = uint64(S)
 		sortByKey(s.order, s.key, true)
 		for _, si := range s.order {
-			if mode == SearchSharded && visited >= ix.cfg.Fanout {
-				break
-			}
 			if s.key[si]*corrSlack < best {
 				break // descending bounds: nothing later can win
 			}
@@ -757,10 +569,9 @@ func (ix *Index) bestCorr(resid []float64, norms []float64, excluded []int, mode
 
 // lsSolve computes the least-squares weights w minimizing
 // ||A*w - rhs||2 for the m x k column-major matrix in qr (destroyed),
-// destroying rhs, via Householder QR — the same factorization
-// mat.LeastSquares uses, restated over caller scratch so the pursuit
-// hot path performs no allocations. v is a length-m reflector scratch;
-// w receives the k weights.
+// destroying rhs, via Householder QR over caller scratch, so the
+// pursuit hot path performs no allocations. v is a length-m reflector
+// scratch; w receives the k weights.
 func lsSolve(qr []float64, m, k int, rhs, v, w []float64) error {
 	for c := 0; c < k; c++ {
 		col := qr[c*m : (c+1)*m]

@@ -60,19 +60,6 @@ func TestIndexPrunedBitIdenticalToExhaustive(t *testing.T) {
 			if jP != jE || dP != dE {
 				return false
 			}
-			k := 1 + rng.Intn(6)
-			outJP, outDP := make([]int, k), make([]float64, k)
-			outJE, outDE := make([]int, k), make([]float64, k)
-			gotP := ixP.TopKRaw(y, k, outJP, outDP)
-			gotE := ixE.TopKRaw(y, k, outJE, outDE)
-			if gotP != gotE {
-				return false
-			}
-			for i := 0; i < gotP; i++ {
-				if outJP[i] != outJE[i] || outDP[i] != outDE[i] {
-					return false
-				}
-			}
 			var mean float64
 			for _, v := range y {
 				mean += v
@@ -89,8 +76,8 @@ func TestIndexPrunedBitIdenticalToExhaustive(t *testing.T) {
 			}
 			excl := []int{rng.Intn(n)}
 			var info SearchInfo
-			bjP, bcP := ixP.bestCorr(yc, nil, excl, SearchPruned, &info)
-			bjE, bcE := ixE.bestCorr(yc, nil, excl, SearchExact, nil)
+			bjP, bcP := ixP.bestCorr(yc, nil, excl, &info)
+			bjE, bcE := ixE.bestCorr(yc, nil, excl, nil)
 			if info.ColumnEvals == 0 {
 				t.Fatalf("per-query SearchInfo recorded no column evals")
 			}
@@ -131,10 +118,6 @@ func TestIndexPrunedTieBreaksMatchExhaustive(t *testing.T) {
 	jE, dE := ixE.NearestRaw(proto)
 	if jP != 3 || jE != 3 || dP != dE {
 		t.Errorf("tie broke to %d/%d (dist %v/%v), want column 3 in both tiers", jP, jE, dP, dE)
-	}
-	outJ, outD := make([]int, 3), make([]float64, 3)
-	if got := ixP.TopKRaw(proto, 3, outJ, outD); got != 3 || outJ[0] != 3 || outJ[1] != 7 || outJ[2] != 10 {
-		t.Errorf("pruned top-3 of a 3-way tie = %v (n=%d), want [3 7 10]", outJ, got)
 	}
 }
 
@@ -180,51 +163,15 @@ func TestOMPPrunedPursuitMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestShardedSearchAccuracyBudget measures the approximate tier's
-// accuracy budget on the office evaluation scenario across three seeds:
-// the mean localization error under sharded search (default fanout)
-// must stay within 0.1 of the exact tier's.
-func TestShardedSearchAccuracyBudget(t *testing.T) {
-	for _, seed := range []uint64{41, 42, 43} {
-		s, x := officeScenario(seed)
-		g := s.Channel.Grid()
-		exact := NewOMPPointIndex(NewIndex(x, g.PerStrip, IndexConfig{Mode: SearchExact}), g, OMPConfig{})
-		shard := NewOMPPointIndex(NewIndex(x, g.PerStrip, IndexConfig{Mode: SearchSharded}), g, OMPConfig{})
-		rng := rand.New(rand.NewSource(int64(seed)))
-		const trials = 60
-		var exErr, shErr float64
-		for k := 0; k < trials; k++ {
-			p := geom.Point{X: rng.Float64() * g.Width, Y: rng.Float64() * g.Height}
-			y := s.MeasureOnline(p, 400+float64(k)*29, testbed.IUpdaterSamples)
-			pe, err := exact.LocatePoint(y)
-			if err != nil {
-				t.Fatalf("seed %d trial %d exact: %v", seed, k, err)
-			}
-			ps, err := shard.LocatePoint(y)
-			if err != nil {
-				t.Fatalf("seed %d trial %d sharded: %v", seed, k, err)
-			}
-			exErr += pe.Distance(p)
-			shErr += ps.Distance(p)
-		}
-		deg := (shErr - exErr) / trials
-		t.Logf("seed %d: exact mean error %.3f m, sharded %.3f m (degradation %.4f)",
-			seed, exErr/trials, shErr/trials, deg)
-		if deg > 0.1 {
-			t.Errorf("seed %d: sharded search degrades mean error by %.3f m, budget 0.1", seed, deg)
-		}
-	}
-}
-
-// TestShardedEvalReductionLargeGrid enforces the scale target: at 100x
-// the office grid size, sharded search must evaluate at least 5x fewer
-// columns per query than the exhaustive reference. The pruned tier's
-// reduction is data-dependent (it is exact), so it is only reported.
-func TestShardedEvalReductionLargeGrid(t *testing.T) {
+// TestPrunedMatchesExhaustiveLargeGrid checks the exactness contract
+// at scale: at 100x the office grid size the pruned tier's nearest
+// column equals the exhaustive reference's on every query. Its
+// reduction in column evaluations is data-dependent, so it is only
+// reported.
+func TestPrunedMatchesExhaustiveLargeGrid(t *testing.T) {
 	x, g := syntheticFingerprints(1200, 7) // n = 9600 = 100x office
 	exact := NewIndex(x, g.PerStrip, IndexConfig{Mode: SearchExact})
 	pruned := NewIndex(x, g.PerStrip, IndexConfig{Mode: SearchPruned})
-	shard := NewIndex(x, g.PerStrip, IndexConfig{Mode: SearchSharded})
 	rng := rand.New(rand.NewSource(8))
 	_, n := x.Dims()
 	const queries = 64
@@ -239,23 +186,84 @@ func TestShardedEvalReductionLargeGrid(t *testing.T) {
 		if jP != jE {
 			t.Fatalf("query %d: pruned nearest %d, exhaustive %d", q, jP, jE)
 		}
-		shard.NearestRaw(y)
 	}
 	evalsPerQuery := func(ix *Index) float64 {
 		st := ix.Stats()
 		return float64(st.ColumnEvals+st.ShardEvals) / float64(st.Queries)
 	}
-	exactEv, prunedEv, shardEv := evalsPerQuery(exact), evalsPerQuery(pruned), evalsPerQuery(shard)
-	t.Logf("evals/query at n=%d: exact %.0f, pruned %.0f (%.1fx), sharded %.0f (%.1fx)",
-		n, exactEv, prunedEv, exactEv/prunedEv, shardEv, exactEv/shardEv)
-	if ratio := exactEv / shardEv; ratio < 5 {
-		t.Errorf("sharded search reduces evals only %.1fx at 100x grid, want >= 5x", ratio)
+	exactEv, prunedEv := evalsPerQuery(exact), evalsPerQuery(pruned)
+	t.Logf("evals/query at n=%d: exact %.0f, pruned %.0f (%.1fx)", n, exactEv, prunedEv, exactEv/prunedEv)
+}
+
+// lsSystem returns a random m x k column-major matrix with entries in
+// [-1, 1) and a working copy of it for lsSolve to destroy.
+func lsSystem(rng *rand.Rand, m, k int) (a, work []float64) {
+	a = make([]float64, m*k)
+	for i := range a {
+		a[i] = 2*rng.Float64() - 1
+	}
+	return a, append([]float64(nil), a...)
+}
+
+// mulCols returns a*x for the m x len(x) column-major matrix a.
+func mulCols(a []float64, m int, x []float64) []float64 {
+	out := make([]float64, m)
+	for c, xc := range x {
+		for i := range out {
+			out[i] += a[c*m+i] * xc
+		}
+	}
+	return out
+}
+
+// TestLSSolveRecoversExactSolution: on a consistent overdetermined
+// system the pursuit's least-squares solve returns the generating
+// weights.
+func TestLSSolveRecoversExactSolution(t *testing.T) {
+	const m, k = 10, 4
+	a, work := lsSystem(rand.New(rand.NewSource(14)), m, k)
+	xTrue := []float64{1, -2, 3, 0.5}
+	rhs := mulCols(a, m, xTrue)
+	w := make([]float64, k)
+	if err := lsSolve(work, m, k, rhs, make([]float64, m), w); err != nil {
+		t.Fatalf("lsSolve: %v", err)
+	}
+	for i := range xTrue {
+		if math.Abs(w[i]-xTrue[i]) > 1e-9 {
+			t.Errorf("w[%d] = %v, want %v", i, w[i], xTrue[i])
+		}
+	}
+}
+
+// TestLSSolveResidualOrthogonality: the least-squares residual is
+// orthogonal to the column space.
+func TestLSSolveResidualOrthogonality(t *testing.T) {
+	const m, k = 12, 5
+	rng := rand.New(rand.NewSource(15))
+	a, work := lsSystem(rng, m, k)
+	b := make([]float64, m)
+	for i := range b {
+		b[i] = rng.NormFloat64()
+	}
+	w := make([]float64, k)
+	if err := lsSolve(work, m, k, append([]float64(nil), b...), make([]float64, m), w); err != nil {
+		t.Fatalf("lsSolve: %v", err)
+	}
+	fit := mulCols(a, m, w)
+	for c := 0; c < k; c++ {
+		var dot float64
+		for i := 0; i < m; i++ {
+			dot += a[c*m+i] * (b[i] - fit[i])
+		}
+		if math.Abs(dot) > 1e-9 {
+			t.Errorf("column %d · residual = %v, want ~0", c, dot)
+		}
 	}
 }
 
 // TestQueryPathAllocFree pins the 0-allocs/op contract of the steady-
-// state query hot paths: OMP point localization, nearest-column, KNN
-// top-k into caller storage, and the raw index queries.
+// state query hot paths: OMP point localization, nearest-column, and
+// the raw index queries.
 func TestQueryPathAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("-race makes sync.Pool drop items, so pooled paths allocate")
@@ -263,18 +271,13 @@ func TestQueryPathAllocFree(t *testing.T) {
 	x, g := syntheticFingerprints(120, 3) // 10x office keeps the pool honest
 	ix := NewIndex(x, g.PerStrip, IndexConfig{})
 	omp := NewOMPPointIndex(ix, g, OMPConfig{})
-	knn := NewKNNIndex(ix, 5)
-	nc := NewNearestColumnIndex(ix)
+	nc := &NearestColumn{ix: ix}
 	_, n := x.Dims()
 	y := append([]float64(nil), x.Col(n/3)...)
-	idx, dist := make([]int, 5), make([]float64, 5)
 	// Warm the scratch pool (the pursuit and its nested search each hold
 	// one scratch).
 	for i := 0; i < 8; i++ {
 		if _, err := omp.Locate(y); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := knn.NeighborsInto(y, idx, dist); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -285,7 +288,6 @@ func TestQueryPathAllocFree(t *testing.T) {
 		{"OMPPoint.Locate", func() { omp.Locate(y) }},
 		{"OMPPoint.LocatePoint", func() { omp.LocatePoint(y) }},
 		{"NearestColumn.Locate", func() { nc.Locate(y) }},
-		{"KNN.NeighborsInto", func() { knn.NeighborsInto(y, idx, dist) }},
 		{"Index.NearestRaw", func() { ix.NearestRaw(y) }},
 	}
 	for _, c := range checks {
@@ -316,36 +318,6 @@ func TestQueriedIndexIsCollectable(t *testing.T) {
 	}
 }
 
-// TestKNNLocateIsNearestNeighbor pins why KNN has no Locate of its own:
-// with one column per cell the inverse-distance vote would always elect
-// the nearest neighbor, and Neighbors' first result agrees with
-// NearestColumn.Locate on every query.
-func TestKNNLocateIsNearestNeighbor(t *testing.T) {
-	_, x := officeScenario(33)
-	knn := NewKNN(x, 5)
-	nc := NewNearestColumn(x)
-	m, n := x.Dims()
-	rng := rand.New(rand.NewSource(34))
-	for trial := 0; trial < 50; trial++ {
-		base := x.Col(rng.Intn(n))
-		y := make([]float64, m)
-		for i := range y {
-			y[i] = base[i] + rng.NormFloat64()
-		}
-		idx, _, err := knn.Neighbors(y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := nc.Locate(y)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != idx[0] {
-			t.Fatalf("trial %d: NearestColumn.Locate = %d, nearest neighbor = %d", trial, got, idx[0])
-		}
-	}
-}
-
 // TestIndexSearchStatsAccumulate sanity-checks the counters: every
 // query is counted, and the exhaustive tier reports exactly n column
 // evaluations per nearest query.
@@ -360,21 +332,5 @@ func TestIndexSearchStatsAccumulate(t *testing.T) {
 	st := ix.Stats()
 	if st.Queries != 7 || st.ColumnEvals != uint64(7*n) {
 		t.Errorf("stats = %+v, want 7 queries, %d column evals", st, 7*n)
-	}
-}
-
-func BenchmarkKNNNeighbors(b *testing.B) {
-	x, g := syntheticFingerprints(120, 5) // 10x office
-	knn := NewKNNIndex(NewIndex(x, g.PerStrip, IndexConfig{}), 5)
-	_, n := x.Dims()
-	y := append([]float64(nil), x.Col(n/2)...)
-	idx, dist := make([]int, 5), make([]float64, 5)
-	if _, err := knn.NeighborsInto(y, idx, dist); err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		knn.NeighborsInto(y, idx, dist)
 	}
 }

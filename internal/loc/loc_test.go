@@ -19,9 +19,14 @@ func officeScenario(seed uint64) (*testbed.Surveyor, *mat.Dense) {
 	return s, fp.X
 }
 
+// newOMP builds an OMP matcher over x with default (pruned) search.
+func newOMP(x *mat.Dense, cfg OMPConfig) *OMP {
+	return NewOMPIndex(NewIndex(x, 0, IndexConfig{}), cfg)
+}
+
 func TestOMPLocatesCellCenterTargets(t *testing.T) {
 	s, x := officeScenario(21)
-	omp := NewOMP(x, OMPConfig{})
+	omp := newOMP(x, OMPConfig{})
 	g := s.Channel.Grid()
 	correct, total := 0, 0
 	for _, j := range []int{0, 7, 20, 41, 50, 66, 77, 95} {
@@ -49,7 +54,7 @@ func TestOMPLocatesCellCenterTargets(t *testing.T) {
 
 func TestOMPRejectsBadDimensions(t *testing.T) {
 	_, x := officeScenario(22)
-	omp := NewOMP(x, OMPConfig{})
+	omp := newOMP(x, OMPConfig{})
 	if _, err := omp.Locate(make([]float64, 5)); err == nil {
 		t.Error("wrong measurement length accepted")
 	}
@@ -58,7 +63,7 @@ func TestOMPRejectsBadDimensions(t *testing.T) {
 func TestOMPPursueSelectsDominantFirst(t *testing.T) {
 	s, x := officeScenario(23)
 	g := s.Channel.Grid()
-	omp := NewOMP(x, OMPConfig{MaxSparsity: 3})
+	omp := newOMP(x, OMPConfig{MaxSparsity: 3})
 	j := g.CellIndex(4, 6)
 	y := s.MeasureOnline(g.Center(j), 900, testbed.IUpdaterSamples)
 	sel, err := omp.Pursue(y)
@@ -84,34 +89,6 @@ func TestNearestColumnExactOnCleanColumns(t *testing.T) {
 		if got != j {
 			t.Errorf("Locate(column %d) = %d", j, got)
 		}
-	}
-}
-
-func TestKNNNeighborsSortedAndLocate(t *testing.T) {
-	_, x := officeScenario(26)
-	knn := NewKNN(x, 5)
-	y := x.Col(30)
-	idx, dist, err := knn.Neighbors(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(idx) != 5 {
-		t.Fatalf("got %d neighbors", len(idx))
-	}
-	if idx[0] != 30 || dist[0] > 1e-9 {
-		t.Errorf("nearest neighbor of column 30 is %d at %v", idx[0], dist[0])
-	}
-	for i := 1; i < len(dist); i++ {
-		if dist[i] < dist[i-1] {
-			t.Error("distances not sorted")
-		}
-	}
-	got, err := NewNearestColumn(x).Locate(y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != idx[0] {
-		t.Errorf("NearestColumn.Locate = %d, want Neighbors()[0] = %d", got, idx[0])
 	}
 }
 
@@ -248,7 +225,7 @@ func TestQuickNearestColumnSelfConsistency(t *testing.T) {
 func TestQuickOMPAlwaysReturnsValidCell(t *testing.T) {
 	s, x := officeScenario(31)
 	g := s.Channel.Grid()
-	omp := NewOMP(x, OMPConfig{})
+	omp := newOMP(x, OMPConfig{})
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p := geom.Point{X: rng.Float64() * g.Width, Y: rng.Float64() * g.Height}

@@ -1,14 +1,14 @@
 // Package loc implements the Target Localization module of Fig 10: the
 // greedy orthogonal-matching-pursuit matcher of Eqns 26-27, plus the
-// baselines the paper compares against (K-nearest-neighbor matching and
-// the SVR-based RASS system).
+// baselines the paper compares against (nearest-column matching, to
+// which K-nearest-neighbor voting reduces on a one-column-per-cell
+// grid, and the SVR-based RASS system).
 //
 // All matchers run over a snapshot-time Index of the fingerprint
 // columns: precomputed centered norms and per-shard centroid/radius
-// bounds prune candidate columns without changing results, an optional
-// sharded tier trades a documented accuracy budget for near-constant
-// query cost, and a pooled per-query scratch keeps the hot paths
-// allocation-free. See Index for the exact-vs-approximate contract.
+// bounds prune candidate columns without changing results, and a pooled
+// per-query scratch keeps the hot paths allocation-free. An exhaustive
+// tier is the reference the pruned search is checked against.
 package loc
 
 import (
@@ -59,12 +59,6 @@ type OMP struct {
 // Compile-time interface check.
 var _ Localizer = (*OMP)(nil)
 
-// NewOMP builds an OMP matcher over the fingerprint matrix x, indexing
-// it with default (pruned, exact-result) search.
-func NewOMP(x *mat.Dense, cfg OMPConfig) *OMP {
-	return NewOMPIndex(NewIndex(x, 0, IndexConfig{}), cfg)
-}
-
 // NewOMPIndex builds an OMP matcher over a prebuilt column index,
 // sharing it with any other matchers built from the same index.
 func NewOMPIndex(ix *Index, cfg OMPConfig) *OMP {
@@ -73,9 +67,6 @@ func NewOMPIndex(ix *Index, cfg OMPConfig) *OMP {
 	}
 	return &OMP{cfg: cfg, ix: ix, colNorm: ix.colNorms()}
 }
-
-// Index returns the underlying column index.
-func (o *OMP) Index() *Index { return o.ix }
 
 // Locate implements Localizer via Eqn 27: greedily select the fingerprint
 // columns most correlated with the residual, solve the restricted least
@@ -154,7 +145,7 @@ func (o *OMP) pursue(y []float64, info *SearchInfo) (*queryScratch, []int, []flo
 	s.rhs = growF(s.rhs, m)
 	s.w = growF(s.w, maxK)
 	for len(s.sel) < maxK {
-		j, corr := o.ix.bestCorr(s.resid, o.colNorm, s.sel, o.ix.cfg.Mode, info)
+		j, corr := o.ix.bestCorr(s.resid, o.colNorm, s.sel, info)
 		if info != nil {
 			info.Rounds++
 		}

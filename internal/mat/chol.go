@@ -13,17 +13,6 @@ type Cholesky struct {
 	scratch []float64 // column gather buffer for SolveInto
 }
 
-// FactorCholesky computes the Cholesky factorization of the symmetric
-// positive-definite matrix a. Only the lower triangle of a is read.
-// ErrSingular is returned when a is not positive definite.
-func FactorCholesky(a *Dense) (*Cholesky, error) {
-	c := new(Cholesky)
-	if err := c.Factor(a); err != nil {
-		return nil, err
-	}
-	return c, nil
-}
-
 // Factor computes the factorization of a in place, reusing the
 // receiver's storage when the dimensions match (the factor-into-
 // workspace form: no allocation after the first call at a given size).
@@ -62,13 +51,6 @@ func (c *Cholesky) Factor(a *Dense) error {
 		}
 	}
 	return nil
-}
-
-// SolveVec solves A*x = b using the factorization.
-func (c *Cholesky) SolveVec(b []float64) []float64 {
-	x := make([]float64, c.l.rows)
-	c.SolveVecInto(x, b)
-	return x
 }
 
 // SolveVecInto solves A*x = b, writing the solution into x. x may alias
@@ -122,42 +104,12 @@ func (c *Cholesky) SolveInto(dst, b *Dense) *Dense {
 	return dst
 }
 
-// L returns a copy of the lower-triangular factor.
-func (c *Cholesky) L() *Dense { return c.l.Clone() }
-
-// SolveSPD solves the symmetric positive-definite system a*x = b, falling
-// back to LU if a is not numerically positive definite.
-func SolveSPD(a *Dense, b []float64) ([]float64, error) {
-	var s SPDSolver
-	x := make([]float64, len(b))
-	if err := s.SolveVecInto(x, a, b); err != nil {
-		return nil, err
-	}
-	return x, nil
-}
-
 // SPDSolver is a reusable factor-and-solve for symmetric positive-
 // definite normal equations: it owns the Cholesky workspace, so repeated
 // solves at one size (the per-row/per-column ALS solves) allocate
 // nothing. The zero value is ready to use.
 type SPDSolver struct {
 	chol Cholesky
-}
-
-// SolveVecInto factors a and solves a*x = b into x, falling back to LU
-// (which allocates) if a is not numerically positive definite. x may
-// alias b.
-func (s *SPDSolver) SolveVecInto(x []float64, a *Dense, b []float64) error {
-	if err := s.chol.Factor(a); err == nil {
-		s.chol.SolveVecInto(x, b)
-		return nil
-	}
-	y, err := Solve(a, b)
-	if err != nil {
-		return err
-	}
-	copy(x, y)
-	return nil
 }
 
 // SolveSymVecInto is SolveVecInto for callers that filled only the

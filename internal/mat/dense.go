@@ -73,26 +73,6 @@ func Identity(n int) *Dense {
 	return m
 }
 
-// Diagonal returns a square matrix with d on its main diagonal.
-func Diagonal(d []float64) *Dense {
-	n := len(d)
-	m := New(n, n)
-	for i, v := range d {
-		m.data[i*n+i] = v
-	}
-	return m
-}
-
-// Random returns an r x c matrix with entries drawn uniformly from
-// [-1, 1) using rng.
-func Random(r, c int, rng *rand.Rand) *Dense {
-	m := New(r, c)
-	for i := range m.data {
-		m.data[i] = 2*rng.Float64() - 1
-	}
-	return m
-}
-
 // RandomNormal returns an r x c matrix with standard normal entries.
 func RandomNormal(r, c int, rng *rand.Rand) *Dense {
 	m := New(r, c)
@@ -107,9 +87,6 @@ func (m *Dense) Dims() (r, c int) { return m.rows, m.cols }
 
 // Rows returns the number of rows.
 func (m *Dense) Rows() int { return m.rows }
-
-// Cols returns the number of columns.
-func (m *Dense) Cols() int { return m.cols }
 
 // At returns the element at row i, column j.
 func (m *Dense) At(i, j int) float64 {
@@ -153,17 +130,6 @@ func (m *Dense) Col(j int) []float64 {
 	return out
 }
 
-// SetCol copies v into column j.
-func (m *Dense) SetCol(j int, v []float64) {
-	m.checkIndex(0, j)
-	if len(v) != m.rows {
-		panic(fmt.Sprintf("mat: SetCol length %d, want %d", len(v), m.rows))
-	}
-	for i := 0; i < m.rows; i++ {
-		m.data[i*m.cols+j] = v[i]
-	}
-}
-
 // Clone returns a deep copy of m.
 func (m *Dense) Clone() *Dense {
 	out := New(m.rows, m.cols)
@@ -187,19 +153,6 @@ func (m *Dense) T() *Dense {
 		for j := 0; j < m.cols; j++ {
 			out.data[j*out.cols+i] = m.data[i*m.cols+j]
 		}
-	}
-	return out
-}
-
-// Submatrix returns a copy of the block with rows [r0, r1) and columns
-// [c0, c1).
-func (m *Dense) Submatrix(r0, r1, c0, c1 int) *Dense {
-	if r0 < 0 || r1 > m.rows || c0 < 0 || c1 > m.cols || r0 >= r1 || c0 >= c1 {
-		panic(fmt.Sprintf("mat: invalid submatrix [%d:%d, %d:%d] of %dx%d", r0, r1, c0, c1, m.rows, m.cols))
-	}
-	out := New(r1-r0, c1-c0)
-	for i := r0; i < r1; i++ {
-		copy(out.data[(i-r0)*out.cols:(i-r0+1)*out.cols], m.data[i*m.cols+c0:i*m.cols+c1])
 	}
 	return out
 }

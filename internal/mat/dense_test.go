@@ -105,16 +105,6 @@ func TestIdentity(t *testing.T) {
 	}
 }
 
-func TestDiagonal(t *testing.T) {
-	m := Diagonal([]float64{2, 5, -1})
-	if m.At(0, 0) != 2 || m.At(1, 1) != 5 || m.At(2, 2) != -1 {
-		t.Error("Diagonal did not place values on the diagonal")
-	}
-	if m.At(0, 1) != 0 || m.At(2, 0) != 0 {
-		t.Error("Diagonal off-diagonal entries are not zero")
-	}
-}
-
 func TestSetAtRoundTrip(t *testing.T) {
 	m := New(4, 5)
 	m.Set(2, 3, 7.5)
@@ -170,14 +160,6 @@ func TestRowColCopies(t *testing.T) {
 	}
 }
 
-func TestSetRowSetCol(t *testing.T) {
-	m := New(2, 3)
-	m.SetCol(1, []float64{9, 8})
-	if m.At(0, 0) != 0 || m.At(0, 1) != 9 || m.At(1, 1) != 8 {
-		t.Errorf("unexpected contents:\n%v", m)
-	}
-}
-
 func TestCloneIndependent(t *testing.T) {
 	m := NewFromRows([][]float64{{1, 2}, {3, 4}})
 	n := m.Clone()
@@ -199,19 +181,6 @@ func TestTranspose(t *testing.T) {
 				t.Errorf("T mismatch at (%d,%d)", i, j)
 			}
 		}
-	}
-}
-
-func TestSubmatrix(t *testing.T) {
-	m := NewFromRows([][]float64{
-		{1, 2, 3, 4},
-		{5, 6, 7, 8},
-		{9, 10, 11, 12},
-	})
-	s := m.Submatrix(1, 3, 1, 3)
-	want := NewFromRows([][]float64{{6, 7}, {10, 11}})
-	if !s.Equal(want) {
-		t.Errorf("Submatrix =\n%vwant\n%v", s, want)
 	}
 }
 
@@ -255,18 +224,69 @@ func TestIsFinite(t *testing.T) {
 }
 
 func TestRandomDeterministic(t *testing.T) {
-	a := Random(3, 3, rand.New(rand.NewSource(7)))
-	b := Random(3, 3, rand.New(rand.NewSource(7)))
+	a := RandomNormal(3, 3, rand.New(rand.NewSource(7)))
+	b := RandomNormal(3, 3, rand.New(rand.NewSource(7)))
 	if !a.Equal(b) {
-		t.Error("Random with identical seeds differs")
+		t.Error("RandomNormal with identical seeds differs")
 	}
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			if v := a.At(i, j); v < -1 || v >= 1 {
-				t.Errorf("Random value %v out of [-1,1)", v)
-			}
+	if c := RandomNormal(3, 3, rand.New(rand.NewSource(8))); a.Equal(c) {
+		t.Error("RandomNormal ignores its seed")
+	}
+}
+
+// random returns an r x c matrix with entries drawn uniformly from
+// [-1, 1) using rng.
+func random(r, c int, rng *rand.Rand) *Dense {
+	m := New(r, c)
+	for i := range m.data {
+		m.data[i] = 2*rng.Float64() - 1
+	}
+	return m
+}
+
+// diagonal returns a square matrix with d on its main diagonal.
+func diagonal(d []float64) *Dense {
+	m := New(len(d), len(d))
+	for i, v := range d {
+		m.Set(i, i, v)
+	}
+	return m
+}
+
+// mulVec returns the matrix-vector product a * x.
+func mulVec(a *Dense, x []float64) []float64 {
+	out := make([]float64, a.rows)
+	for i := range out {
+		for k, v := range x {
+			out[i] += a.At(i, k) * v
 		}
 	}
+	return out
+}
+
+// mulVecT returns aᵀ * x.
+func mulVecT(a *Dense, x []float64) []float64 {
+	return mulVec(a.T(), x)
+}
+
+// colNorms returns the Euclidean norm of every column.
+func colNorms(m *Dense) []float64 {
+	out := make([]float64, m.cols)
+	for j := range out {
+		out[j] = math.Sqrt(VecNorm2Sq(m.Col(j)))
+	}
+	return out
+}
+
+// reconstruct rebuilds U * diag(S) * Vᵀ from a decomposition.
+func reconstruct(d *SVD) *Dense {
+	return MulTB(Mul(d.U, diagonal(d.S)), d.V)
+}
+
+// leastSquares solves min ||a*x - b||₂ for a of full column rank
+// through the normal equations.
+func leastSquares(a *Dense, b []float64) ([]float64, error) {
+	return Solve(MulTA(a, a), mulVecT(a, b))
 }
 
 func TestCopyFrom(t *testing.T) {

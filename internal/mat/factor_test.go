@@ -29,7 +29,7 @@ func TestLUSolveRandomResidual(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(8)
-		a := Random(n, n, rng)
+		a := random(n, n, rng)
 		// Diagonal dominance guarantees non-singularity.
 		for i := 0; i < n; i++ {
 			a.Add(i, i, float64(n))
@@ -38,7 +38,7 @@ func TestLUSolveRandomResidual(t *testing.T) {
 		for i := range xTrue {
 			xTrue[i] = rng.NormFloat64()
 		}
-		b := MulVec(a, xTrue)
+		b := mulVec(a, xTrue)
 		x, err := Solve(a, b)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
@@ -60,9 +60,15 @@ func TestLUSingular(t *testing.T) {
 
 func TestInverse(t *testing.T) {
 	a := NewFromRows([][]float64{{4, 7}, {2, 6}})
-	inv, err := SolveMatrix(a, Identity(2))
-	if err != nil {
-		t.Fatalf("SolveMatrix: %v", err)
+	inv := New(2, 2)
+	for j := 0; j < 2; j++ {
+		col, err := Solve(a, Identity(2).Col(j))
+		if err != nil {
+			t.Fatalf("Solve: %v", err)
+		}
+		for i, v := range col {
+			inv.Set(i, j, v)
+		}
 	}
 	if !Mul(a, inv).EqualApprox(Identity(2), 1e-12) {
 		t.Error("A*A⁻¹ != I")
@@ -70,6 +76,24 @@ func TestInverse(t *testing.T) {
 	if !Mul(inv, a).EqualApprox(Identity(2), 1e-12) {
 		t.Error("A⁻¹*A != I")
 	}
+}
+
+// det is the determinant read off FactorLU's factors: the product of
+// U's diagonal, negated once per row swap; 0 when a is singular.
+func det(a *Dense) float64 {
+	f, err := FactorLU(a)
+	if err != nil {
+		return 0
+	}
+	n := a.rows
+	d := 1.0
+	for i := 0; i < n; i++ {
+		d *= f.lu.data[i*n+i]
+		if f.pivot[i] != i {
+			d = -d
+		}
+	}
+	return d
 }
 
 func TestDet(t *testing.T) {
@@ -81,11 +105,11 @@ func TestDet(t *testing.T) {
 		{"identity", Identity(3), 1},
 		{"2x2", NewFromRows([][]float64{{1, 2}, {3, 4}}), -2},
 		{"singular", NewFromRows([][]float64{{1, 2}, {2, 4}}), 0},
-		{"diag", Diagonal([]float64{2, 3, 4}), 24},
+		{"diag", diagonal([]float64{2, 3, 4}), 24},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			if got := Det(tt.m); math.Abs(got-tt.want) > 1e-12 {
+			if got := det(tt.m); math.Abs(got-tt.want) > 1e-12 {
 				t.Errorf("Det = %v, want %v", got, tt.want)
 			}
 		})
@@ -96,19 +120,20 @@ func TestCholeskySolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for trial := 0; trial < 20; trial++ {
 		n := 2 + rng.Intn(8)
-		g := Random(n, n, rng)
+		g := random(n, n, rng)
 		// AᵀA + I is symmetric positive definite.
 		a := AddM(MulTA(g, g), Identity(n))
 		xTrue := make([]float64, n)
 		for i := range xTrue {
 			xTrue[i] = rng.NormFloat64()
 		}
-		b := MulVec(a, xTrue)
-		c, err := FactorCholesky(a)
-		if err != nil {
+		b := mulVec(a, xTrue)
+		var c Cholesky
+		if err := c.Factor(a); err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		x := c.SolveVec(b)
+		x := make([]float64, n)
+		c.SolveVecInto(x, b)
 		for i := range x {
 			if math.Abs(x[i]-xTrue[i]) > 1e-8 {
 				t.Fatalf("trial %d: x[%d] = %v, want %v", trial, i, x[i], xTrue[i])
@@ -123,11 +148,11 @@ func TestCholeskyFactorReconstructs(t *testing.T) {
 		{12, 37, -43},
 		{-16, -43, 98},
 	})
-	c, err := FactorCholesky(a)
-	if err != nil {
-		t.Fatalf("FactorCholesky: %v", err)
+	var c Cholesky
+	if err := c.Factor(a); err != nil {
+		t.Fatalf("Factor: %v", err)
 	}
-	l := c.L()
+	l := c.l
 	if !MulTB(l, l).EqualApprox(a, 1e-10) {
 		t.Error("L*Lᵀ != A")
 	}
@@ -140,81 +165,17 @@ func TestCholeskyFactorReconstructs(t *testing.T) {
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
 	a := NewFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
-	if _, err := FactorCholesky(a); err == nil {
-		t.Error("FactorCholesky accepted an indefinite matrix")
-	}
-}
-
-func TestQRReconstructionAndOrthogonality(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	for trial := 0; trial < 20; trial++ {
-		m := 3 + rng.Intn(8)
-		n := 1 + rng.Intn(m)
-		a := Random(m, n, rng)
-		f := FactorQR(a)
-		q, r := f.Q(), f.R()
-		if !Mul(q, r).EqualApprox(a, 1e-10) {
-			t.Fatalf("trial %d: QR != A", trial)
-		}
-		if !MulTA(q, q).EqualApprox(Identity(n), 1e-10) {
-			t.Fatalf("trial %d: QᵀQ != I", trial)
-		}
-		// R upper triangular.
-		for i := 1; i < n; i++ {
-			for j := 0; j < i; j++ {
-				if math.Abs(r.At(i, j)) > 1e-10 {
-					t.Fatalf("trial %d: R(%d,%d) = %v not zero", trial, i, j, r.At(i, j))
-				}
-			}
-		}
-	}
-}
-
-func TestLeastSquaresRecoversExactSolution(t *testing.T) {
-	rng := rand.New(rand.NewSource(14))
-	a := Random(10, 4, rng)
-	xTrue := []float64{1, -2, 3, 0.5}
-	b := MulVec(a, xTrue)
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatalf("LeastSquares: %v", err)
-	}
-	for i := range xTrue {
-		if math.Abs(x[i]-xTrue[i]) > 1e-9 {
-			t.Errorf("x[%d] = %v, want %v", i, x[i], xTrue[i])
-		}
-	}
-}
-
-func TestLeastSquaresResidualOrthogonality(t *testing.T) {
-	// The least-squares residual must be orthogonal to the column space.
-	rng := rand.New(rand.NewSource(15))
-	a := Random(12, 5, rng)
-	b := make([]float64, 12)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x, err := LeastSquares(a, b)
-	if err != nil {
-		t.Fatalf("LeastSquares: %v", err)
-	}
-	res := MulVec(a, x)
-	for i := range res {
-		res[i] = b[i] - res[i]
-	}
-	proj := MulVecT(a, res)
-	for j := range proj {
-		if math.Abs(proj[j]) > 1e-9 {
-			t.Errorf("Aᵀr[%d] = %v, want ~0", j, proj[j])
-		}
+	var c Cholesky
+	if err := c.Factor(a); err == nil {
+		t.Error("Cholesky accepted an indefinite matrix")
 	}
 }
 
 func TestQRCPRankAndPivots(t *testing.T) {
 	// Build a 6x8 matrix of rank 3: only 3 independent columns.
 	rng := rand.New(rand.NewSource(16))
-	base := Random(6, 3, rng)
-	coef := Random(3, 8, rng)
+	base := random(6, 3, rng)
+	coef := random(3, 8, rng)
 	a := Mul(base, coef)
 	f := FactorQRCP(a)
 	cols := f.IndependentCols(3)
@@ -226,7 +187,7 @@ func TestQRCPRankAndPivots(t *testing.T) {
 
 func TestQRCPPivotsAreDistinct(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
-	a := Random(5, 9, rng)
+	a := random(5, 9, rng)
 	f := FactorQRCP(a)
 	seen := make(map[int]bool)
 	for _, p := range f.Perm {
@@ -241,11 +202,12 @@ func TestSolveSPDFallsBackToLU(t *testing.T) {
 	// Symmetric but indefinite: Cholesky fails, LU succeeds.
 	a := NewFromRows([][]float64{{1, 2}, {2, 1}})
 	b := []float64{3, 3}
-	x, err := SolveSPD(a, b)
-	if err != nil {
-		t.Fatalf("SolveSPD: %v", err)
+	var s SPDSolver
+	x := make([]float64, 2)
+	if err := s.SolveSymVecInto(x, a, b); err != nil {
+		t.Fatalf("SolveSymVecInto: %v", err)
 	}
-	got := MulVec(a, x)
+	got := mulVec(a, x)
 	for i := range b {
 		if math.Abs(got[i]-b[i]) > 1e-10 {
 			t.Errorf("residual[%d] = %v", i, got[i]-b[i])

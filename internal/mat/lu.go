@@ -14,7 +14,6 @@ var ErrSingular = errors.New("mat: matrix is singular to working precision")
 type LU struct {
 	lu    *Dense // packed L (unit lower) and U
 	pivot []int  // row permutation
-	signP int    // permutation sign, for determinants
 }
 
 // FactorLU computes the LU factorization of the square matrix a with
@@ -45,7 +44,6 @@ func (f *LU) Factor(a *Dense) error {
 	if len(pivot) != n {
 		pivot = make([]int, n)
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Find pivot row.
 		p := k
@@ -61,7 +59,6 @@ func (f *LU) Factor(a *Dense) error {
 			return ErrSingular
 		}
 		if p != k {
-			sign = -sign
 			rk := lu.data[k*n : (k+1)*n]
 			rp := lu.data[p*n : (p+1)*n]
 			for j := range rk {
@@ -80,7 +77,7 @@ func (f *LU) Factor(a *Dense) error {
 			}
 		}
 	}
-	f.lu, f.pivot, f.signP = lu, pivot, sign
+	f.lu, f.pivot = lu, pivot
 	return nil
 }
 
@@ -130,32 +127,6 @@ func (f *LU) SolveVecInto(x, b []float64) error {
 	return nil
 }
 
-// Solve solves A*X = B column by column.
-func (f *LU) Solve(b *Dense) (*Dense, error) {
-	if b.rows != f.lu.rows {
-		panic(fmt.Sprintf("mat: LU Solve dimension mismatch %d vs %d", b.rows, f.lu.rows))
-	}
-	out := New(b.rows, b.cols)
-	for j := 0; j < b.cols; j++ {
-		x, err := f.SolveVec(b.Col(j))
-		if err != nil {
-			return nil, err
-		}
-		out.SetCol(j, x)
-	}
-	return out, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	n := f.lu.rows
-	det := float64(f.signP)
-	for i := 0; i < n; i++ {
-		det *= f.lu.data[i*n+i]
-	}
-	return det
-}
-
 // Solve solves the square linear system a*x = b.
 func Solve(a *Dense, b []float64) ([]float64, error) {
 	f, err := FactorLU(a)
@@ -163,23 +134,4 @@ func Solve(a *Dense, b []float64) ([]float64, error) {
 		return nil, err
 	}
 	return f.SolveVec(b)
-}
-
-// SolveMatrix solves a*X = B for the square matrix a.
-func SolveMatrix(a, b *Dense) (*Dense, error) {
-	f, err := FactorLU(a)
-	if err != nil {
-		return nil, err
-	}
-	return f.Solve(b)
-}
-
-// Det returns the determinant of a square matrix, or 0 if it is exactly
-// singular.
-func Det(a *Dense) float64 {
-	f, err := FactorLU(a)
-	if err != nil {
-		return 0
-	}
-	return f.Det()
 }

@@ -38,17 +38,3 @@ func VecNorm2Sq(x []float64) float64 {
 	}
 	return s
 }
-
-// ColNorms returns the Euclidean norm of every column.
-func ColNorms(m *Dense) []float64 {
-	out := make([]float64, m.cols)
-	for j := 0; j < m.cols; j++ {
-		var s float64
-		for i := 0; i < m.rows; i++ {
-			v := m.data[i*m.cols+j]
-			s += v * v
-		}
-		out[j] = math.Sqrt(s)
-	}
-	return out
-}

@@ -51,42 +51,6 @@ func MulTB(a, b *Dense) *Dense {
 	return MulTBInto(New(a.rows, b.rows), a, b)
 }
 
-// MulVec returns the matrix-vector product a * x.
-func MulVec(a *Dense, x []float64) []float64 {
-	if a.cols != len(x) {
-		panic(fmt.Sprintf("mat: MulVec dimension mismatch %dx%d * %d", a.rows, a.cols, len(x)))
-	}
-	out := make([]float64, a.rows)
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		var s float64
-		for k, av := range arow {
-			s += av * x[k]
-		}
-		out[i] = s
-	}
-	return out
-}
-
-// MulVecT returns aᵀ * x.
-func MulVecT(a *Dense, x []float64) []float64 {
-	if a.rows != len(x) {
-		panic(fmt.Sprintf("mat: MulVecT dimension mismatch %dx%dᵀ * %d", a.rows, a.cols, len(x)))
-	}
-	out := make([]float64, a.cols)
-	for i := 0; i < a.rows; i++ {
-		arow := a.data[i*a.cols : (i+1)*a.cols]
-		xi := x[i]
-		if xi == 0 {
-			continue
-		}
-		for j, av := range arow {
-			out[j] += av * xi
-		}
-	}
-	return out
-}
-
 // Apply returns a new matrix whose elements are f(i, j, m[i][j]).
 func (m *Dense) Apply(f func(i, j int, v float64) float64) *Dense {
 	out := New(m.rows, m.cols)
@@ -133,18 +97,6 @@ func (m *Dense) MaxAbs() float64 {
 	}
 	return max
 }
-
-// Sum returns the sum of all elements.
-func (m *Dense) Sum() float64 {
-	var s float64
-	for _, v := range m.data {
-		s += v
-	}
-	return s
-}
-
-// Mean returns the mean of all elements.
-func (m *Dense) Mean() float64 { return m.Sum() / float64(len(m.data)) }
 
 // ColSums returns the per-column sums.
 func (m *Dense) ColSums() []float64 {

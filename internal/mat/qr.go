@@ -5,113 +5,6 @@ import (
 	"math"
 )
 
-// QR holds a Householder QR factorization A = Q*R with A of size m x n,
-// m >= n, Q of size m x n (thin) and R of size n x n upper triangular.
-type QR struct {
-	q *Dense
-	r *Dense
-}
-
-// FactorQR computes the thin QR factorization of a (rows >= cols) using
-// Householder reflections.
-func FactorQR(a *Dense) *QR {
-	m, n := a.rows, a.cols
-	if m < n {
-		panic(fmt.Sprintf("mat: FactorQR requires rows >= cols, got %dx%d", m, n))
-	}
-	r := a.Clone()
-	// Accumulate Q explicitly; matrices here are small.
-	q := Identity(m)
-	v := make([]float64, m)
-	for k := 0; k < n; k++ {
-		// Build the Householder vector for column k below the diagonal.
-		var norm float64
-		for i := k; i < m; i++ {
-			norm += r.data[i*n+k] * r.data[i*n+k]
-		}
-		norm = math.Sqrt(norm)
-		if norm == 0 {
-			continue
-		}
-		alpha := -norm
-		if r.data[k*n+k] < 0 {
-			alpha = norm
-		}
-		for i := 0; i < k; i++ {
-			v[i] = 0
-		}
-		v[k] = r.data[k*n+k] - alpha
-		for i := k + 1; i < m; i++ {
-			v[i] = r.data[i*n+k]
-		}
-		vnorm2 := VecNorm2Sq(v[k:])
-		if vnorm2 == 0 {
-			continue
-		}
-		beta := 2 / vnorm2
-		// R <- (I - beta v vᵀ) R, touching rows k..m-1 only.
-		for j := k; j < n; j++ {
-			var s float64
-			for i := k; i < m; i++ {
-				s += v[i] * r.data[i*n+j]
-			}
-			s *= beta
-			for i := k; i < m; i++ {
-				r.data[i*n+j] -= s * v[i]
-			}
-		}
-		// Q <- Q (I - beta v vᵀ).
-		for i := 0; i < m; i++ {
-			var s float64
-			for j := k; j < m; j++ {
-				s += q.data[i*m+j] * v[j]
-			}
-			s *= beta
-			for j := k; j < m; j++ {
-				q.data[i*m+j] -= s * v[j]
-			}
-		}
-	}
-	return &QR{
-		q: q.Submatrix(0, m, 0, n),
-		r: r.Submatrix(0, n, 0, n),
-	}
-}
-
-// Q returns a copy of the thin orthonormal factor.
-func (f *QR) Q() *Dense { return f.q.Clone() }
-
-// R returns a copy of the upper-triangular factor.
-func (f *QR) R() *Dense { return f.r.Clone() }
-
-// SolveVec solves the least-squares problem min ||A*x - b||₂ via
-// R*x = Qᵀ*b.
-func (f *QR) SolveVec(b []float64) ([]float64, error) {
-	m, n := f.q.rows, f.q.cols
-	if len(b) != m {
-		panic(fmt.Sprintf("mat: QR SolveVec length %d, want %d", len(b), m))
-	}
-	qtb := MulVecT(f.q, b)
-	x := make([]float64, n)
-	for i := n - 1; i >= 0; i-- {
-		var s float64
-		for j := i + 1; j < n; j++ {
-			s += f.r.data[i*n+j] * x[j]
-		}
-		d := f.r.data[i*n+i]
-		if d == 0 {
-			return nil, ErrSingular
-		}
-		x[i] = (qtb[i] - s) / d
-	}
-	return x, nil
-}
-
-// LeastSquares solves min ||a*x - b||₂ for overdetermined a.
-func LeastSquares(a *Dense, b []float64) ([]float64, error) {
-	return FactorQR(a).SolveVec(b)
-}
-
 // QRCP holds a QR factorization with column pivoting: A*P = Q*R where P is
 // a column permutation encoded by Perm (Perm[k] is the index of the
 // original column in position k).

@@ -42,7 +42,7 @@ func TestRREFPivotsIdentifyIndependentColumns(t *testing.T) {
 
 func TestRREFIdempotent(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
-	a := Random(4, 7, rng)
+	a := random(4, 7, rng)
 	first := RREF(a, 0)
 	second := RREF(first.R, 0)
 	if !first.R.EqualApprox(second.R, 1e-9) {
@@ -63,7 +63,7 @@ func TestRREFPivotCountEqualsRank(t *testing.T) {
 		m := 3 + rng.Intn(5)
 		n := 3 + rng.Intn(10)
 		r := 1 + rng.Intn(minInt(m, n))
-		a := Mul(Random(m, r, rng), Random(r, n, rng))
+		a := Mul(random(m, r, rng), random(r, n, rng))
 		res := RREF(a, 1e-8)
 		if len(res.Pivots) != r {
 			t.Errorf("trial %d: %d pivots for rank-%d %dx%d matrix", trial, len(res.Pivots), r, m, n)
@@ -75,19 +75,20 @@ func TestRREFSelectedColumnsSpan(t *testing.T) {
 	// Columns selected by RREF pivots must reproduce the full matrix via
 	// least squares (they span the column space).
 	rng := rand.New(rand.NewSource(33))
-	base := Random(6, 3, rng)
-	coef := Random(3, 9, rng)
+	base := random(6, 3, rng)
+	coef := random(3, 9, rng)
 	a := Mul(base, coef)
 	res := RREF(a, 1e-8)
 	sel := a.SelectCols(res.Pivots)
 	// Solve sel * Z = a in the least-squares sense per column.
 	var worst float64
-	for j := 0; j < a.Cols(); j++ {
-		z, err := LeastSquares(sel, a.Col(j))
+	_, n := a.Dims()
+	for j := 0; j < n; j++ {
+		z, err := leastSquares(sel, a.Col(j))
 		if err != nil {
-			t.Fatalf("LeastSquares: %v", err)
+			t.Fatalf("leastSquares: %v", err)
 		}
-		recon := MulVec(sel, z)
+		recon := mulVec(sel, z)
 		col := a.Col(j)
 		for i := range col {
 			if d := col[i] - recon[i]; d > worst || -d > worst {

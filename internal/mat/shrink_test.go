@@ -10,7 +10,7 @@ import (
 func svt(a *Dense, tau float64) *Dense { return SVTInto(New(a.rows, a.cols), a, tau) }
 
 func TestSVTShrinksSingularValues(t *testing.T) {
-	a := Diagonal([]float64{5, 3, 1})
+	a := diagonal([]float64{5, 3, 1})
 	out := svt(a, 2)
 	s := SingularValues(out)
 	want := []float64{3, 1, 0}
@@ -23,7 +23,7 @@ func TestSVTShrinksSingularValues(t *testing.T) {
 
 func TestSVTZeroTauIsIdentityOp(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	a := Random(4, 6, rng)
+	a := random(4, 6, rng)
 	if !svt(a, 0).EqualApprox(a, 1e-9) {
 		t.Error("SVT(A, 0) != A")
 	}
@@ -31,7 +31,7 @@ func TestSVTZeroTauIsIdentityOp(t *testing.T) {
 
 func TestSVTLargeTauGivesZero(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	a := Random(4, 6, rng)
+	a := random(4, 6, rng)
 	s := SingularValues(a)
 	out := svt(a, s[0]+1)
 	if FrobeniusNorm(out) > 1e-12 {
@@ -43,7 +43,7 @@ func TestSVTIsProximalMinimizer(t *testing.T) {
 	// The SVT output must achieve a lower proximal objective
 	// tau*||X||_* + 0.5*||X-A||F² than nearby perturbations.
 	rng := rand.New(rand.NewSource(43))
-	a := Random(5, 5, rng)
+	a := random(5, 5, rng)
 	const tau = 0.3
 	x := svt(a, tau)
 	obj := func(m *Dense) float64 {
@@ -51,7 +51,7 @@ func TestSVTIsProximalMinimizer(t *testing.T) {
 	}
 	base := obj(x)
 	for trial := 0; trial < 10; trial++ {
-		pert := AddM(x, Scale(0.01, Random(5, 5, rng)))
+		pert := AddM(x, Scale(0.01, random(5, 5, rng)))
 		if obj(pert) < base-1e-9 {
 			t.Fatalf("perturbation beats SVT output: %v < %v", obj(pert), base)
 		}
@@ -75,10 +75,10 @@ func TestShrinkColumns21(t *testing.T) {
 
 func TestShrinkColumns21NormReduction(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	a := Random(6, 8, rng)
+	a := random(6, 8, rng)
 	out := ShrinkColumns21Into(New(a.rows, a.cols), a, 0.2)
-	inNorms := ColNorms(a)
-	outNorms := ColNorms(out)
+	inNorms := colNorms(a)
+	outNorms := colNorms(out)
 	for j := range inNorms {
 		wantNorm := inNorms[j] - 0.2
 		if wantNorm < 0 {

@@ -126,14 +126,3 @@ func jacobiSVD(a *Dense) (u *Dense, s []float64, v *Dense) {
 func SingularValues(a *Dense) []float64 {
 	return FactorSVD(a).S
 }
-
-// Reconstruct rebuilds U * diag(S) * Vᵀ from the decomposition.
-func (d *SVD) Reconstruct() *Dense {
-	us := d.U.Clone()
-	for j, sv := range d.S {
-		for i := 0; i < us.rows; i++ {
-			us.data[i*us.cols+j] *= sv
-		}
-	}
-	return MulTB(us, d.V)
-}

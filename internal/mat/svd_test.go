@@ -7,7 +7,7 @@ import (
 )
 
 func TestSVDKnownDiagonal(t *testing.T) {
-	a := Diagonal([]float64{3, 1, 2})
+	a := diagonal([]float64{3, 1, 2})
 	s := SingularValues(a)
 	want := []float64{3, 2, 1}
 	for i := range want {
@@ -23,9 +23,9 @@ func TestSVDReconstruction(t *testing.T) {
 		{4, 4}, {8, 3}, {3, 8}, {8, 94}, {6, 72}, {1, 5}, {5, 1},
 	}
 	for _, sh := range shapes {
-		a := Random(sh.m, sh.n, rng)
+		a := random(sh.m, sh.n, rng)
 		f := FactorSVD(a)
-		if !f.Reconstruct().EqualApprox(a, 1e-9) {
+		if !reconstruct(f).EqualApprox(a, 1e-9) {
 			t.Errorf("%dx%d: U S Vᵀ != A", sh.m, sh.n)
 		}
 	}
@@ -33,7 +33,7 @@ func TestSVDReconstruction(t *testing.T) {
 
 func TestSVDOrthogonality(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
-	a := Random(6, 9, rng)
+	a := random(6, 9, rng)
 	f := FactorSVD(a)
 	k := 6
 	if !MulTA(f.U, f.U).EqualApprox(Identity(k), 1e-9) {
@@ -46,7 +46,7 @@ func TestSVDOrthogonality(t *testing.T) {
 
 func TestSVDSingularValuesSorted(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	a := Random(7, 5, rng)
+	a := random(7, 5, rng)
 	s := SingularValues(a)
 	for i := 1; i < len(s); i++ {
 		if s[i] > s[i-1]+1e-15 {
@@ -63,7 +63,7 @@ func TestSVDSingularValuesSorted(t *testing.T) {
 func TestSVDMatchesFrobenius(t *testing.T) {
 	// ||A||F² = sum of squared singular values.
 	rng := rand.New(rand.NewSource(24))
-	a := Random(5, 8, rng)
+	a := random(5, 8, rng)
 	s := SingularValues(a)
 	var ssq float64
 	for _, v := range s {

@@ -22,9 +22,6 @@ type Workspace struct {
 // across solver calls.
 var workspacePool = sync.Pool{New: func() any { return new(Workspace) }}
 
-// NewWorkspace returns an empty workspace with no pooled buffers.
-func NewWorkspace() *Workspace { return new(Workspace) }
-
 // GetWorkspace borrows a workspace from the process-wide pool. Pair with
 // Release.
 func GetWorkspace() *Workspace { return workspacePool.Get().(*Workspace) }

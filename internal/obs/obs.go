@@ -1,5 +1,5 @@
 // Package obs is a zero-dependency observability toolkit: lock-free
-// counter, gauge and fixed-bucket histogram primitives cheap enough to
+// counter and fixed-bucket histogram primitives cheap enough to
 // live on query hot paths (atomic operations only, 0 allocations per
 // Observe), plus a hand-rolled Prometheus text-exposition writer
 // (version 0.0.4) so a server can expose them on a /metrics route
@@ -28,32 +28,8 @@ type Counter struct{ v atomic.Uint64 }
 // Inc adds one.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds delta.
-func (c *Counter) Add(delta uint64) { c.v.Add(delta) }
-
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
-
-// Gauge is a single float64 value that may go up and down. The zero
-// value reads 0; all methods are lock-free and safe for concurrent use.
-type Gauge struct{ bits atomic.Uint64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add adjusts the value by delta (CAS loop).
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
-
-// Value returns the current value.
-func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
 // DefLatencyBuckets are the default histogram bounds for request
 // latencies in seconds: 1 µs to 500 ms, roughly logarithmic. The locate

@@ -99,8 +99,7 @@ type Tailer struct {
 	replay store.Replay
 	next   uint64 // version to request next; 0 = bootstrap
 
-	applied atomic.Uint64 // newest version applied locally
-	leader  atomic.Uint64 // newest version the leader advertised
+	leader atomic.Uint64 // newest version the leader advertised
 
 	reconnects   obs.Counter // failed polls (each is followed by a fresh connection)
 	rebootstraps obs.Counter // re-bootstraps from the leader's newest full record
@@ -135,13 +134,10 @@ func New(cfg Config) (*Tailer, error) {
 	return &Tailer{cfg: cfg}, nil
 }
 
-// Applied returns the newest version applied locally, 0 before the
-// first record lands.
-func (t *Tailer) Applied() uint64 { return t.applied.Load() }
-
 // LeaderVersion returns the newest version the leader has advertised
 // in a response header, 0 before the first successful poll. The
-// difference against Applied is the replication lag in versions.
+// difference against the newest applied version is the replication lag
+// in versions.
 func (t *Tailer) LeaderVersion() uint64 { return t.leader.Load() }
 
 // Reconnects counts failed polls — transport errors, non-200 leader
@@ -299,7 +295,6 @@ func (t *Tailer) poll(ctx context.Context) error {
 		asp.End()
 		frames++
 		t.next = version + 1
-		t.applied.Store(version)
 	}
 }
 

@@ -94,9 +94,6 @@ func NewChannel(grid geom.Grid, params Params, seed uint64) *Channel {
 // Grid returns the deployment grid.
 func (c *Channel) Grid() geom.Grid { return c.grid }
 
-// Params returns the radio parameters.
-func (c *Channel) Params() Params { return c.params }
-
 // NumLinks returns M.
 func (c *Channel) NumLinks() int { return len(c.links) }
 
@@ -107,10 +104,6 @@ func (c *Channel) NumCells() int { return c.grid.NumCells() }
 // measure the fingerprint entry for cell j — i.e. whether the entry is
 // outside the "no RSS decrease" class of Fig 4.
 func (c *Channel) Affected(i, j int) bool { return c.affected[i][j] }
-
-// TargetEffect returns the deterministic RSS decrease (dB, >= 0) on link i
-// from a target at cell j.
-func (c *Channel) TargetEffect(i, j int) float64 { return c.effects[i][j] }
 
 // CleanRSS returns the drift-free, noise-free RSS of link i with a target
 // at cell j (or NoTarget).

@@ -82,22 +82,22 @@ func TestTargetEffectRegimes(t *testing.T) {
 	g := c.Grid()
 	// Target on link 3's own strip: large decrease.
 	ownCell := g.CellIndex(3, 6)
-	if eff := c.TargetEffect(3, ownCell); eff < 5 {
+	if eff := c.effects[3][ownCell]; eff < 5 {
 		t.Errorf("own-strip effect = %v dB, want >= 5", eff)
 	}
 	// Target on the adjacent strip: small but present decrease.
 	adjCell := g.CellIndex(4, 6)
-	adj := c.TargetEffect(3, adjCell)
+	adj := c.effects[3][adjCell]
 	if adj <= 0 || adj > 5 {
 		t.Errorf("adjacent-strip effect = %v dB, want in (0, 5]", adj)
 	}
 	// Far strip: no effect at all.
 	farCell := g.CellIndex(7, 6)
-	if eff := c.TargetEffect(3, farCell); eff != 0 {
+	if eff := c.effects[3][farCell]; eff != 0 {
 		t.Errorf("far-strip effect = %v dB, want 0", eff)
 	}
 	// Ordering: own >> adjacent >> far.
-	if !(c.TargetEffect(3, ownCell) > adj && adj > c.TargetEffect(3, farCell)) {
+	if !(c.effects[3][ownCell] > adj && adj > c.effects[3][farCell]) {
 		t.Error("effect ordering violated")
 	}
 }
@@ -106,8 +106,8 @@ func TestAffectedMatchesEffect(t *testing.T) {
 	c := testChannel(7)
 	for i := 0; i < c.NumLinks(); i++ {
 		for j := 0; j < c.NumCells(); j++ {
-			if c.Affected(i, j) != (c.TargetEffect(i, j) > 0) {
-				t.Fatalf("Affected(%d,%d) inconsistent with TargetEffect", i, j)
+			if c.Affected(i, j) != (c.effects[i][j] > 0) {
+				t.Fatalf("Affected(%d,%d) inconsistent with the target effect", i, j)
 			}
 		}
 	}
@@ -146,7 +146,7 @@ func TestOwnStripVShape(t *testing.T) {
 	avg := make([]float64, k)
 	for i := 0; i < g.Links; i++ {
 		for u := 0; u < k; u++ {
-			avg[u] += c.TargetEffect(i, g.CellIndex(i, u)) / float64(g.Links)
+			avg[u] += c.effects[i][g.CellIndex(i, u)] / float64(g.Links)
 		}
 	}
 	mid := avg[k/2]

@@ -13,6 +13,11 @@ import (
 // same versions. The seed corpus covers the interesting shapes: a valid
 // log, a torn tail, a flipped CRC, garbage, and — since delta records —
 // a full+delta chain plus mutations that orphan or corrupt the chain.
+//
+// The body runs over an in-memory backend preloaded with the input, so
+// an exec costs microseconds and the engine spends its budget fuzzing;
+// the directory backend's recovery is covered by the store's truncated-
+// tail, flipped-byte and backend-parity tests.
 func FuzzStoreOpen(f *testing.F) {
 	// Build a valid two-record log to seed from.
 	seedDir := f.TempDir()
@@ -77,11 +82,16 @@ func FuzzStoreOpen(f *testing.F) {
 	f.Add(baseFlip)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		dir := t.TempDir()
-		if err := os.WriteFile(filepath.Join(dir, logName), data, 0o644); err != nil {
+		b := NewMemory()
+		lf, err := b.Create(logName)
+		if err != nil {
 			t.Fatal(err)
 		}
-		s, err := Open(dir, Options{NoSync: true})
+		if _, err := lf.WriteAt(data, 0); err != nil {
+			t.Fatal(err)
+		}
+		lf.Close()
+		s, err := OpenBackend(b, Options{NoSync: true})
 		if err != nil {
 			// Open only errors on real IO failures, never on corruption.
 			t.Fatalf("Open on corrupt input: %v", err)
@@ -118,7 +128,7 @@ func FuzzStoreOpen(f *testing.F) {
 		s.Close()
 		// Idempotence: a second recovery sees exactly what the first
 		// left (plus the two appends).
-		s2, err := Open(dir, Options{NoSync: true})
+		s2, err := OpenBackend(b, Options{NoSync: true})
 		if err != nil {
 			t.Fatal(err)
 		}

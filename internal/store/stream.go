@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"slices"
 	"sort"
 )
 
@@ -115,6 +116,11 @@ func (s *Store) readFrameLocked(e indexEntry) ([]byte, error) {
 // record (bad magic, oversized length) is an error before any payload
 // is read. ReadFrame validates only enough to frame the stream — CRC
 // and structural checks happen in Replay.Apply.
+//
+// The frame grows as its bytes arrive rather than trusting the length
+// field up front, so a peer that sends a header alone costs at most
+// frameChunk bytes, not the up-to-1-GiB length it claims. A frame that
+// fits in frameChunk takes one exact-size allocation.
 func ReadFrame(r io.Reader) ([]byte, error) {
 	var hdr [headerSize]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
@@ -130,16 +136,28 @@ func ReadFrame(r io.Reader) ([]byte, error) {
 	if plen > maxPayload {
 		return nil, fmt.Errorf("store: stream frame length %d exceeds the %d-byte record bound", plen, maxPayload)
 	}
-	frame := make([]byte, headerSize+int(plen))
+	total := headerSize + int(plen)
+	frame := make([]byte, headerSize, min(total, headerSize+frameChunk))
 	copy(frame, hdr[:])
-	if _, err := io.ReadFull(r, frame[headerSize:]); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
+	for len(frame) < total {
+		if len(frame) == cap(frame) {
+			frame = slices.Grow(frame, min(total-len(frame), len(frame)))
 		}
-		return nil, err
+		end := min(cap(frame), total)
+		if _, err := io.ReadFull(r, frame[len(frame):end]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		frame = frame[:end]
 	}
 	return frame, nil
 }
+
+// frameChunk bounds ReadFrame's first payload allocation; larger frames
+// at least double their buffer per step as bytes arrive.
+const frameChunk = 64 << 10
 
 // Replay materializes a record stream on the follower side of
 // replication: it holds the latest applied version and its materialized
@@ -157,9 +175,6 @@ type Replay struct {
 	version uint64
 	payload []byte
 }
-
-// Version returns the latest applied version, 0 before the first Apply.
-func (r *Replay) Version() uint64 { return r.version }
 
 // Payload returns the materialized payload of the latest applied
 // version. The slice is reused by subsequent Applies — callers must

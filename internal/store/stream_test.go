@@ -2,9 +2,13 @@ package store
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
+	"math/rand"
+	"runtime"
 	"testing"
+	"testing/iotest"
 )
 
 // streamAll concatenates the frames a leader would send for the store's
@@ -72,8 +76,8 @@ func TestRecordFramesFromResume(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if r.Version() != 6 || !bytes.Equal(r.Payload(), want[6]) {
-		t.Fatalf("bootstrap replay ended at v%d, payload match %v", r.Version(), bytes.Equal(r.Payload(), want[6]))
+	if r.version != 6 || !bytes.Equal(r.Payload(), want[6]) {
+		t.Fatalf("bootstrap replay ended at v%d, payload match %v", r.version, bytes.Equal(r.Payload(), want[6]))
 	}
 
 	// A resume from mid-history returns every record at or after the
@@ -172,6 +176,52 @@ func TestReadFrameSplitsStream(t *testing.T) {
 	}
 }
 
+// frameHeader is a record header claiming a payload of plen bytes.
+func frameHeader(plen uint32) []byte {
+	hdr := make([]byte, headerSize)
+	binary.LittleEndian.PutUint32(hdr[0:4], recordMagic)
+	binary.LittleEndian.PutUint32(hdr[12:16], plen)
+	return hdr
+}
+
+// TestReadFrameAllocatesWhatArrives: a header alone may claim the
+// largest legal payload; ReadFrame must fail with ErrUnexpectedEOF
+// without first allocating the claimed gigabyte.
+func TestReadFrameAllocatesWhatArrives(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := ReadFrame(bytes.NewReader(frameHeader(maxPayload)))
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Fatalf("header-only stream: err %v, want ErrUnexpectedEOF", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 1<<20 {
+		t.Errorf("header-only stream allocated %d bytes, want < 1 MiB", got)
+	}
+}
+
+// TestReadFrameGrowsAcrossChunks reads frames larger than frameChunk
+// through a reader that returns short reads: the bytes come back
+// intact, and a frame within frameChunk keeps one exact-size buffer.
+func TestReadFrameGrowsAcrossChunks(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, plen := range []int{0, 6197, frameChunk, frameChunk + 1, 5*frameChunk + 123} {
+		payload := make([]byte, plen)
+		rng.Read(payload)
+		want := append(frameHeader(uint32(plen)), payload...)
+		got, err := ReadFrame(iotest.HalfReader(bytes.NewReader(want)))
+		if err != nil {
+			t.Fatalf("plen %d: %v", plen, err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("plen %d: frame bytes differ", plen)
+		}
+		if plen <= frameChunk && cap(got) != len(want) {
+			t.Errorf("plen %d: frame capacity %d, want exactly %d", plen, cap(got), len(want))
+		}
+	}
+}
+
 func TestReplayRejectsCorruptFramesWithoutStateChange(t *testing.T) {
 	s, want := mixedStore(t, t.TempDir())
 	frames, err := s.RecordFramesFrom(1)
@@ -190,7 +240,7 @@ func TestReplayRejectsCorruptFramesWithoutStateChange(t *testing.T) {
 		if _, _, err := r.Apply(frame); err == nil {
 			t.Fatalf("%s accepted", desc)
 		}
-		if r.Version() != 3 || !bytes.Equal(r.Payload(), before) {
+		if r.version != 3 || !bytes.Equal(r.Payload(), before) {
 			t.Fatalf("%s mutated replay state", desc)
 		}
 	}
@@ -278,14 +328,14 @@ func FuzzReplayApply(f *testing.F) {
 				t.Fatalf("applied versions not increasing: %d then %d", last, v)
 			}
 			last = v
-			if r.Version() != v {
-				t.Fatalf("Version() %d after applying %d", r.Version(), v)
+			if r.version != v {
+				t.Fatalf("version %d after applying %d", r.version, v)
 			}
 		}
 		// Never publish garbage: whatever the replay holds now, it must
 		// be internally consistent (version 0 iff no payload ever set).
-		if (r.Version() == 0) != (r.Payload() == nil) {
-			t.Fatalf("replay state torn: version %d with payload %d bytes", r.Version(), len(r.Payload()))
+		if (r.version == 0) != (r.Payload() == nil) {
+			t.Fatalf("replay state torn: version %d with payload %d bytes", r.version, len(r.Payload()))
 		}
 		// Resumable: a fresh full frame beyond any version the fuzz
 		// stream could carry still applies.

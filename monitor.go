@@ -13,10 +13,9 @@ import (
 
 // DriftDetector is a streaming change detector over the staleness
 // residual sequence, pluggable into a Monitor via WithDriftDetector.
-// The built-in implementations (NewMeanShiftDetector,
-// NewPageHinkleyDetector) are self-calibrating: they learn the
-// stationary residual floor from the first observations after
-// construction or Reset. Implementations need not be safe for concurrent
+// The built-in implementation (NewMeanShiftDetector) is
+// self-calibrating: it learns the stationary residual floor from the
+// first observations after construction or Reset. Implementations need not be safe for concurrent
 // use; the Monitor serializes all calls.
 //
 // A detector may additionally implement
@@ -24,7 +23,7 @@ import (
 //	Baseline() (mu, sigma float64, ok bool)
 //	SetBaseline(mu, sigma float64)
 //
-// (as the built-ins do) to make its calibrated floor portable across
+// (as the built-in does) to make its calibrated floor portable across
 // process restarts: a Monitor attached to a Deployment with a durable
 // Store persists the floor and re-installs it on the next start, so a
 // restarted monitor resumes detection instead of re-running the
@@ -51,17 +50,6 @@ type DriftDetector interface {
 // produces.
 func NewMeanShiftDetector(baseline, window int, k float64) DriftDetector {
 	return drift.NewMeanShift(drift.MeanShiftConfig{Baseline: baseline, Window: window, K: k})
-}
-
-// NewPageHinkleyDetector returns a Page-Hinkley (one-sided CUSUM)
-// detector: the cumulative excess of the residual over the calibrated
-// floor (minus a drift allowance of delta floor-sigmas) is compared
-// against lambda floor-sigmas. baseline is the number of calibration
-// observations; zero or negative arguments select the defaults (200,
-// 0.5, 40). It detects slow ramps that never push a single window over
-// the mean-shift threshold.
-func NewPageHinkleyDetector(baseline int, delta, lambda float64) DriftDetector {
-	return drift.NewPageHinkley(drift.PageHinkleyConfig{Baseline: baseline, Delta: delta, Lambda: lambda})
 }
 
 // UpdateInputs carries one set of fresh measurements for
@@ -135,7 +123,6 @@ type monitorConfig struct {
 	acFloor    int
 	acCeil     int
 	acSens     float64
-	topK       int
 	sync       bool
 }
 
@@ -202,13 +189,6 @@ func WithAdaptiveCooldown(floor, ceiling int, sensitivity float64) MonitorOption
 			c.acSens = sensitivity
 		}
 	}
-}
-
-// WithDriftAttributionTopK sets how many worst-offending links
-// MonitorStats.TopLinks reports (default 3, capped at the deployment's
-// link count).
-func WithDriftAttributionTopK(k int) MonitorOption {
-	return func(c *monitorConfig) { c.topK = k }
 }
 
 // WithSynchronousUpdates makes a triggered update run inline in the
@@ -372,7 +352,6 @@ func NewMonitor(d *Deployment, sampler ReferenceSampler, opts ...MonitorOption) 
 		acFloor:    defaultCooldownFloor,
 		acCeil:     defaultCooldownCeiling,
 		acSens:     defaultCooldownSens,
-		topK:       3,
 	}
 	for _, opt := range opts {
 		opt(&cfg)
@@ -388,12 +367,6 @@ func NewMonitor(d *Deployment, sampler ReferenceSampler, opts ...MonitorOption) 
 	}
 	if cfg.acFloor > cfg.acCeil {
 		cfg.acFloor = cfg.acCeil
-	}
-	if cfg.topK < 1 {
-		cfg.topK = 3
-	}
-	if cfg.topK > d.geo.Links {
-		cfg.topK = d.geo.Links
 	}
 	m := &Monitor{
 		d:       d,
@@ -716,9 +689,12 @@ func (m *Monitor) Sync() {
 	m.mu.Unlock()
 }
 
+// driftAttributionTopK is how many worst-offending links
+// MonitorStats.TopLinks reports, capped at the deployment's link count.
+const driftAttributionTopK = 3
+
 // Stats returns a consistent snapshot of the monitor's counters,
-// including the top-k drift-attributed links (k set by
-// WithDriftAttributionTopK).
+// including the top driftAttributionTopK drift-attributed links.
 func (m *Monitor) Stats() MonitorStats {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -726,8 +702,9 @@ func (m *Monitor) Stats() MonitorStats {
 	s.CooldownRemaining = m.cooldown
 	s.UpdateInFlight = m.updating
 	s.SnapshotVersion = m.d.Version()
-	links := make([]int, m.cfg.topK)
-	errs := make([]float64, m.cfg.topK)
+	k := min(driftAttributionTopK, m.d.geo.Links)
+	links := make([]int, k)
+	errs := make([]float64, k)
 	if n := m.attr.TopK(links, errs); n > 0 {
 		s.TopLinks = make([]LinkDrift, n)
 		for i := 0; i < n; i++ {

@@ -211,16 +211,6 @@ func WithReplicaExactSearch() ReplicaOption {
 	return func(cfg *replicaConfig) { cfg.search.Mode = loc.SearchExact }
 }
 
-// WithReplicaShardedSearch switches the replica's snapshots to the
-// approximate sharded locate tier, exactly as WithShardedSearch does
-// for a leader (fanout <= 0 selects the default).
-func WithReplicaShardedSearch(fanout int) ReplicaOption {
-	return func(cfg *replicaConfig) {
-		cfg.search.Mode = loc.SearchSharded
-		cfg.search.Fanout = fanout
-	}
-}
-
 // Replica is a read-only follower of a leader deployment: it tails the
 // leader's records endpoint (see ServeRecords), validates every
 // streamed record exactly as the store validates its log during crash

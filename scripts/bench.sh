@@ -7,8 +7,8 @@
 # traditional full-survey benchmark, the drift-monitor observe
 # benchmarks, the snapshot-store append+load benchmark, the replica
 # apply benchmark, the locate-index query benchmarks (10x and 100x
-# office-sized grids across search tiers, plus the KNN top-k scan),
-# and the fleet LRU query benchmarks (hot resident path and the cold
+# office-sized grids under the pruned and exact search tiers), and the
+# fleet LRU query benchmarks (hot resident path and the cold
 # park/rehydrate cycle, without and with a drift monitor) with
 # -benchmem, and prints the result:
 #
@@ -43,12 +43,10 @@
 #	                                     validate-and-apply path reuses
 #	                                     its payload buffer steady-state)
 #	LocateLargeGrid/*        <=      2  (0 measured: pooled per-query
-#	                                     scratch keeps every search tier
+#	                                     scratch keeps both search tiers
 #	                                     allocation-free; the col_evals/op
-#	                                     metric tracks the sub-linear
-#	                                     candidate-search claim)
-#	KNNNeighbors             <=      2  (0 measured: bounded top-k heap
-#	                                     into caller-provided slices)
+#	                                     metric tracks how many column
+#	                                     evaluations pruning saves)
 #	LocateTraced/unsampled   <=      2  (0 measured: pooled span scratch
 #	                                     keeps tracing off the allocator
 #	                                     when a trace is not retained)
@@ -74,8 +72,8 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 benchtime="${BENCHTIME:-1x}"
-out="$(go test -run '^$' -bench 'Fig16ConstraintAblation|AblationInitialization|SurveyMatrix|MonitorObserve|StoreAppendLoad|ReplicaApply|LocateLargeGrid|KNNNeighbors|LocateTraced|FleetHotQuery|FleetColdQuery' \
-	-benchtime "$benchtime" -benchmem "$@" . ./internal/store ./internal/loc)"
+out="$(go test -run '^$' -bench 'Fig16ConstraintAblation|AblationInitialization|SurveyMatrix|MonitorObserve|StoreAppendLoad|ReplicaApply|LocateLargeGrid|LocateTraced|FleetHotQuery|FleetColdQuery' \
+	-benchtime "$benchtime" -benchmem "$@" . ./internal/store)"
 echo "$out"
 
 # Allocation-budget gate: a regression past a documented budget fails
@@ -91,9 +89,7 @@ BEGIN {
 	budget["BenchmarkReplicaApply"] = 4
 	budget["BenchmarkLocateLargeGrid/10x"] = 2
 	budget["BenchmarkLocateLargeGrid/100x"] = 2
-	budget["BenchmarkLocateLargeGrid/100x-sharded"] = 2
 	budget["BenchmarkLocateLargeGrid/100x-exact"] = 2
-	budget["BenchmarkKNNNeighbors"] = 2
 	budget["BenchmarkLocateTraced/unsampled"] = 2
 	budget["BenchmarkLocateTraced/sampled"] = 16
 	budget["BenchmarkFleetHotQuery"] = 2
