@@ -61,7 +61,7 @@ func TestServeSiteLifecycle(t *testing.T) {
 	defer ts.Close()
 
 	// Create a tokened site over the API.
-	var created siteSummaryJSON
+	var created iupdater.SiteSummary
 	if code, _ := doJSON(t, http.MethodPut, ts.URL+"/sites/annex", "",
 		sitePutRequest{Env: "office", Seed: 3, Token: "s3cret"}, &created); code != http.StatusCreated {
 		t.Fatalf("PUT /sites/annex: status %d", code)
@@ -278,7 +278,7 @@ func TestServeManifestRestart(t *testing.T) {
 	s1.dataDir, s1.defEnv = dataDir, "office"
 	s1.manifest = openManifest()
 	ts1 := httptest.NewServer(s1.handler())
-	var created siteSummaryJSON
+	var created iupdater.SiteSummary
 	if code, _ := doJSON(t, http.MethodPut, ts1.URL+"/sites/branch", "",
 		sitePutRequest{Seed: 9, Token: "tok"}, &created); code != http.StatusCreated {
 		t.Fatalf("PUT: status %d", code)
@@ -311,7 +311,7 @@ func TestServeManifestRestart(t *testing.T) {
 	ts2 := httptest.NewServer(s2.handler())
 	defer ts2.Close()
 
-	var sum siteSummaryJSON
+	var sum iupdater.SiteSummary
 	if code := getJSON(t, ts2.URL+"/sites/branch", &sum); code != http.StatusOK {
 		t.Fatalf("GET restored site: status %d", code)
 	}

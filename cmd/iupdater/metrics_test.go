@@ -172,9 +172,10 @@ func parseSampleLine(t *testing.T, ln int, line string) promSample {
 
 // lintExposition enforces the format invariants a Prometheus scraper
 // relies on: every sample belongs to a family with exactly one HELP and
-// one valid TYPE, histogram bucket series are cumulative with a closing
-// +Inf bucket that equals _count and come with a _sum, counters never
-// go negative, and no series appears twice.
+// one valid TYPE, each family is one contiguous group with its HELP and
+// TYPE ahead of its samples, histogram bucket series are cumulative
+// with a closing +Inf bucket that equals _count and come with a _sum,
+// counters never go negative, and no series appears twice.
 func lintExposition(t *testing.T, body string) (samples []promSample, typ map[string]string) {
 	t.Helper()
 	samples, help, typs := parseExposition(t, body)
@@ -200,6 +201,31 @@ func lintExposition(t *testing.T, body string) (samples []promSample, typ map[st
 		if _, ok := typs[name]; !ok {
 			t.Errorf("family %s: HELP without TYPE", name)
 		}
+	}
+	// Grouping: a family's lines are contiguous, and its HELP and TYPE
+	// come before its first sample.
+	cur, sampled, done := "", false, make(map[string]bool)
+	for ln, line := range strings.Split(body, "\n") {
+		var fam string
+		header := strings.HasPrefix(line, "# HELP ") || strings.HasPrefix(line, "# TYPE ")
+		switch {
+		case header:
+			fam, _, _ = strings.Cut(line[len("# HELP "):], " ")
+		case line == "" || strings.HasPrefix(line, "#"):
+			continue
+		default:
+			fam = family(parseSampleLine(t, ln+1, line).name)
+		}
+		if fam != cur {
+			if done[fam] {
+				t.Errorf("line %d: family %s is split: its lines are not one group", ln+1, fam)
+			}
+			done[cur], cur, sampled = true, fam, false
+		}
+		if header && sampled {
+			t.Errorf("line %d: family %s has a header after its samples", ln+1, fam)
+		}
+		sampled = sampled || !header
 	}
 	seen := make(map[string]bool)
 	for _, s := range samples {
@@ -510,5 +536,71 @@ func TestServeMetricsUnderHammer(t *testing.T) {
 		if s, ok := findSample(samples, "iupdater_locate_latency_seconds_count", map[string]string{"site": name}); !ok || s.value < 1 {
 			t.Errorf("site %s: latency count %v (found %v) after hammer", name, s.value, ok)
 		}
+	}
+}
+
+// TestServeMetricsKeepParkedSites: on a fleet that keeps one site
+// resident, the site that was parked keeps its locate, update-stage,
+// publish and compaction series, and the scrape does not rehydrate it.
+func TestServeMetricsKeepParkedSites(t *testing.T) {
+	s := newServer(0)
+	s.fleet = iupdater.NewFleet(iupdater.WithResidentLimit(1))
+	defer s.fleet.Close()
+	dataDir := t.TempDir()
+	var cfgs []iupdater.SiteConfig
+	for i, name := range []string{"a", "b"} {
+		cfg, _, err := buildSite(siteSpec{name: name, env: "office"}, uint64(1+i), dataDir, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.addSite(name, cfg); err != nil {
+			t.Fatal(err)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	ts := httptest.NewServer(s.handler())
+	defer ts.Close()
+
+	cx, cy := testbedOf(cfgs[0]).CellCenter(20)
+	rss := testbedOf(cfgs[0]).MeasureOnline(cx, cy, time.Hour)
+	if code := postJSON(t, ts.URL+"/sites/a/locate", locateRequest{RSS: rss}, nil); code != http.StatusOK {
+		t.Fatalf("a locate: status %d", code)
+	}
+	if code := postJSON(t, ts.URL+"/sites/a/update", updateRequest{Days: 10}, nil); code != http.StatusOK {
+		t.Fatalf("a update: status %d", code)
+	}
+	if code := postJSON(t, ts.URL+"/sites/b/locate", locateRequest{RSS: rss}, nil); code != http.StatusOK {
+		t.Fatalf("b locate: status %d", code)
+	}
+	a, _ := s.fleet.Site("a")
+	if a.Hydrated() {
+		t.Fatal("site a is still resident after b's locate")
+	}
+	rehydrations := s.fleet.Stats().Rehydrations
+
+	samples, _ := lintExposition(t, scrapeMetrics(t, ts.URL))
+	for _, name := range []string{"a", "b"} {
+		lbl := map[string]string{"site": name}
+		if s, ok := findSample(samples, "iupdater_locate_latency_seconds_count", lbl); !ok || s.value != 1 {
+			t.Errorf("site %s: locate latency count %v (found %v), want 1", name, s.value, ok)
+		}
+		if _, ok := findSample(samples, "iupdater_store_compactions_total", lbl); !ok {
+			t.Errorf("site %s: no store compactions sample", name)
+		}
+	}
+	for _, stage := range iupdater.UpdateStages() {
+		lbl := map[string]string{"site": "a", "stage": stage}
+		if s, ok := findSample(samples, "iupdater_update_duration_seconds_count", lbl); !ok || s.value != 1 {
+			t.Errorf("parked site a: %s stage count %v (found %v), want 1", stage, s.value, ok)
+		}
+	}
+	if s, ok := findSample(samples, "iupdater_publish_total", map[string]string{"site": "a"}); !ok || s.value != 1 {
+		t.Errorf("parked site a: publishes %v (found %v), want 1", s.value, ok)
+	}
+	if s, ok := findSample(samples, "iupdater_sites", map[string]string{"state": "parked"}); !ok || s.value != 1 {
+		t.Errorf("parked sites %v (found %v), want 1", s.value, ok)
+	}
+	if a.Hydrated() || s.fleet.Stats().Rehydrations != rehydrations {
+		t.Error("the scrape rehydrated the parked site")
 	}
 }

@@ -257,7 +257,7 @@ func TestServeFollowerSite(t *testing.T) {
 	if _, err := rep.WaitVersion(ctx, 2); err != nil {
 		t.Fatal(err)
 	}
-	var sum siteSummaryJSON
+	var sum iupdater.SiteSummary
 	if code := getJSON(t, fts.URL+"/sites/branch", &sum); code != http.StatusOK {
 		t.Fatalf("/sites/branch status %d", code)
 	}

@@ -34,7 +34,7 @@ func runReplicate(args []string) error {
 	if *leader == "" {
 		return fmt.Errorf("replicate: -leader is required")
 	}
-	if err := checkSiteName(*name); err != nil {
+	if err := iupdater.CheckSiteName(*name); err != nil {
 		return err
 	}
 

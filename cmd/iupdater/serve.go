@@ -5,6 +5,7 @@ import (
 	"context"
 	"crypto/subtle"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -186,11 +187,10 @@ type reader interface {
 }
 
 // target is one site as a handler serves it, split into writer and
-// replica by view.
+// replica by resolve.
 type target struct {
 	name string
-	// rd is the serving read path: the deployment or the replica. It is
-	// nil for a writer that view found parked without hydrating.
+	// rd is the serving read path: the deployment or the replica.
 	rd reader
 	// d, mon, store and st are the writer's deployment, monitor (nil if
 	// unmonitored), durable store (nil in memory) and serve state; all
@@ -199,31 +199,6 @@ type target struct {
 	mon   *iupdater.Monitor
 	store *iupdater.Store
 	st    *site
-}
-
-// view is the one place a site is split into writer and replica. With
-// hydrate, a parked writer is re-materialized from its store (a cold
-// site's first request pays the rehydration here); without it, a parked
-// writer comes back with no read path, which is how /metrics and
-// /healthz look at sites without defeating the LRU.
-func view(fs *iupdater.Site, hydrate bool) (target, error) {
-	t := target{name: fs.Name()}
-	if rep := fs.Replica(); rep != nil {
-		t.rd = rep
-		return t, nil
-	}
-	t.st = payload(fs.Payload())
-	d, mon := fs.Deployment(), fs.Monitor()
-	if hydrate {
-		var err error
-		if d, mon, err = fs.Hydrate(); err != nil {
-			return t, err
-		}
-	}
-	if d != nil {
-		t.rd, t.d, t.mon, t.store = d, d, mon, d.Store()
-	}
-	return t, nil
 }
 
 // access is what a route needs from the site it addresses.
@@ -245,8 +220,11 @@ const (
 
 // resolve looks up the request's site in the fleet — the {site} path
 // value, or the default site on the alias routes — and checks it
-// against what the route needs. On failure it writes the error (404
-// unknown site, 409 replica, 401 token) and reports false.
+// against what the route needs. It is the one place a site is split
+// into writer and replica, and a parked writer is re-materialized from
+// its store here (a cold site's first request pays the rehydration). On
+// failure it writes the error (404 unknown site, 409 replica, 401 token)
+// and reports false.
 func (s *server) resolve(w http.ResponseWriter, r *http.Request, need access) (target, bool) {
 	name := r.PathValue("site")
 	alias := name == ""
@@ -262,28 +240,33 @@ func (s *server) resolve(w http.ResponseWriter, r *http.Request, need access) (t
 		}
 		return target{}, false
 	}
-	if rep := fs.Replica(); rep != nil && need == lead {
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("site %s is a replica; fetch records from its leader %s", name, rep.Source()))
-		return target{}, false
-	} else if rep != nil && need >= mutate {
-		writeError(w, http.StatusConflict,
-			fmt.Errorf("site %s is a read-only replica (following %s)", name, rep.Source()))
-		return target{}, false
+	if rep := fs.Replica(); rep != nil {
+		switch {
+		case need == lead:
+			writeError(w, http.StatusConflict,
+				fmt.Errorf("site %s is a replica; fetch records from its leader %s", name, rep.Source()))
+			return target{}, false
+		case need >= mutate:
+			writeError(w, http.StatusConflict,
+				fmt.Errorf("site %s is a read-only replica (following %s)", name, rep.Source()))
+			return target{}, false
+		}
+		return target{name: name, rd: rep}, true
 	}
-	if need >= mutate && !payload(fs.Payload()).authorize(w, r, name) {
+	st := payload(fs.Payload())
+	if need >= mutate && !st.authorize(w, r, name) {
 		return target{}, false
 	}
 	if need == remove {
 		return target{name: name}, true
 	}
-	t, err := view(fs, true)
+	d, mon, err := fs.Hydrate()
 	if err != nil {
 		// The site was removed mid-request.
 		writeError(w, http.StatusNotFound, err)
 		return target{}, false
 	}
-	return t, true
+	return target{name: name, rd: d, d: d, mon: mon, store: d.Store(), st: st}, true
 }
 
 func (s *server) handler() http.Handler {
@@ -333,10 +316,10 @@ func (s *server) handler() http.Handler {
 		// rehydration on the probe path).
 		var version uint64
 		if fs, ok := s.fleet.Site(s.defaultSite()); ok {
-			if t, _ := view(fs, false); t.rd != nil {
-				if snap := t.rd.Snapshot(); snap != nil {
-					version = snap.Version()
-				}
+			if rep := fs.Replica(); rep != nil {
+				version = rep.Version()
+			} else if d := fs.Deployment(); d != nil {
+				version = d.Version()
 			}
 		}
 		writeJSON(w, http.StatusOK, map[string]any{"ok": true, "version": version, "sites": s.fleet.Stats().Sites})
@@ -392,8 +375,7 @@ func (s *server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req locateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	if (req.RSS == nil) == (req.Batch == nil) {
@@ -490,8 +472,7 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	}
 	d, st := t.d, t.st
 	var req updateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req, false) {
 		return
 	}
 	refs, err := d.ReferenceLocations()
@@ -567,14 +548,6 @@ func (s *server) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, updateResponse{Version: snap.Version(), References: refs})
 }
 
-// recordJSON mirrors iupdater.RecordInfo over the wire: how one stored
-// version sits on disk (full snapshot or changed-columns delta).
-type recordJSON struct {
-	Version uint64 `json:"version"`
-	Kind    string `json:"kind"`
-	Bytes   int64  `json:"bytes"`
-}
-
 type snapshotResponse struct {
 	Version      uint64      `json:"version"`
 	Links        int         `json:"links"`
@@ -582,7 +555,7 @@ type snapshotResponse struct {
 	Fingerprints [][]float64 `json:"fingerprints"`
 	// Record describes the serving version's on-disk record, absent for
 	// in-memory sites.
-	Record *recordJSON `json:"record,omitempty"`
+	Record *iupdater.RecordInfo `json:"record,omitempty"`
 }
 
 func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
@@ -606,61 +579,12 @@ func (s *server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if t.store != nil {
 		for _, rec := range t.store.Records() {
 			if rec.Version == snap.Version() {
-				resp.Record = &recordJSON{Version: rec.Version, Kind: rec.Kind, Bytes: rec.Bytes}
+				resp.Record = &rec
 				break
 			}
 		}
 	}
 	writeJSON(w, http.StatusOK, resp)
-}
-
-// driftResponse mirrors iupdater.MonitorStats over the wire.
-type driftResponse struct {
-	Queries           uint64          `json:"queries"`
-	Residual          float64         `json:"residual_db"`
-	Score             float64         `json:"score"`
-	Detections        uint64          `json:"detections"`
-	UpdatesTriggered  uint64          `json:"updates_triggered"`
-	UpdatesCompleted  uint64          `json:"updates_completed"`
-	UpdateErrors      uint64          `json:"update_errors"`
-	Suppressed        uint64          `json:"suppressed"`
-	CooldownRemaining int             `json:"cooldown_remaining"`
-	TopLinks          []linkDriftJSON `json:"top_links,omitempty"`
-	UpdateInFlight    bool            `json:"update_in_flight"`
-	Version           uint64          `json:"version"`
-	LastError         string          `json:"last_error,omitempty"`
-	// LastUpdateTrace is the trace ID of the most recent drift-triggered
-	// auto-update, fetchable at GET /traces/{id}.
-	LastUpdateTrace string `json:"last_update_trace,omitempty"`
-}
-
-// linkDriftJSON mirrors iupdater.LinkDrift: one offending link in the
-// monitor's per-link residual attribution.
-type linkDriftJSON struct {
-	Link  int     `json:"link"`
-	ErrDB float64 `json:"err_db"`
-}
-
-func driftJSON(stats iupdater.MonitorStats) driftResponse {
-	out := driftResponse{
-		Queries:           stats.Queries,
-		Residual:          stats.Residual,
-		Score:             stats.Score,
-		Detections:        stats.Detections,
-		UpdatesTriggered:  stats.UpdatesTriggered,
-		UpdatesCompleted:  stats.UpdatesCompleted,
-		UpdateErrors:      stats.UpdateErrors,
-		Suppressed:        stats.Suppressed,
-		CooldownRemaining: stats.CooldownRemaining,
-		UpdateInFlight:    stats.UpdateInFlight,
-		Version:           stats.SnapshotVersion,
-		LastError:         stats.LastError,
-		LastUpdateTrace:   stats.LastUpdateTraceID,
-	}
-	for _, ld := range stats.TopLinks {
-		out.TopLinks = append(out.TopLinks, linkDriftJSON{Link: ld.Link, ErrDB: ld.ErrDB})
-	}
-	return out
 }
 
 func (s *server) handleDrift(w http.ResponseWriter, r *http.Request) {
@@ -672,7 +596,7 @@ func (s *server) handleDrift(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("drift monitor disabled (start with -monitor)"))
 		return
 	}
-	writeJSON(w, http.StatusOK, driftJSON(t.mon.Stats()))
+	writeJSON(w, http.StatusOK, t.mon.Stats())
 }
 
 type rollbackResponse struct {
@@ -730,100 +654,12 @@ func (s *server) handleRecords(w http.ResponseWriter, r *http.Request) {
 	t.d.ServeRecords().ServeHTTP(w, r.WithContext(ctx))
 }
 
-// siteSummaryJSON mirrors iupdater.SiteSummary over the wire.
-type siteSummaryJSON struct {
-	Name    string `json:"name"`
-	Version uint64 `json:"version"`
-	Links   int    `json:"links"`
-	Cells   int    `json:"cells"`
-	Durable bool   `json:"durable"`
-	// Hydrated reports whether the site's deployment is resident in
-	// memory; a parked site still serves, paying a rehydration from its
-	// store on the first query.
-	Hydrated bool `json:"hydrated"`
-	// OldestVersion is the store's compaction horizon (0 for in-memory
-	// sites): rollback and replication resume cannot reach below it.
-	OldestVersion  uint64             `json:"oldest_version,omitempty"`
-	StoredVersions []uint64           `json:"stored_versions,omitempty"`
-	StoredRecords  []recordJSON       `json:"stored_records,omitempty"`
-	Search         *searchSummaryJSON `json:"search,omitempty"`
-	Drift          *driftResponse     `json:"drift,omitempty"`
-	Replica        *replicaStatusJSON `json:"replica,omitempty"`
-}
-
-// searchSummaryJSON mirrors iupdater.SearchSummary: the serving
-// snapshot's candidate-search tier and its cumulative work counters
-// (reset on every publish — each version carries a fresh index).
-type searchSummaryJSON struct {
-	Tier        string `json:"tier"`
-	Queries     uint64 `json:"queries"`
-	ColumnEvals uint64 `json:"column_evals"`
-	ShardEvals  uint64 `json:"shard_evals"`
-}
-
-// replicaStatusJSON mirrors iupdater.ReplicaStatus over the wire: the
-// replication lag line of the fleet dashboard.
-type replicaStatusJSON struct {
-	Source        string `json:"source"`
-	Version       uint64 `json:"version"`
-	LeaderVersion uint64 `json:"leader_version"`
-	Lag           uint64 `json:"lag"`
-	Reconnects    uint64 `json:"reconnects"`
-	Rebootstraps  uint64 `json:"rebootstraps"`
-	Promoted      bool   `json:"promoted,omitempty"`
-}
-
-func siteSummaryResponse(sum iupdater.SiteSummary) siteSummaryJSON {
-	out := siteSummaryJSON{
-		Name:           sum.Name,
-		Version:        sum.Version,
-		Links:          sum.Links,
-		Cells:          sum.Cells,
-		Durable:        sum.Durable,
-		Hydrated:       sum.Hydrated,
-		OldestVersion:  sum.OldestVersion,
-		StoredVersions: sum.StoredVersions,
-	}
-	for _, rec := range sum.StoredRecords {
-		out.StoredRecords = append(out.StoredRecords, recordJSON{Version: rec.Version, Kind: rec.Kind, Bytes: rec.Bytes})
-	}
-	if sum.Search != nil {
-		out.Search = &searchSummaryJSON{
-			Tier:        sum.Search.Tier,
-			Queries:     sum.Search.Stats.Queries,
-			ColumnEvals: sum.Search.Stats.ColumnEvals,
-			ShardEvals:  sum.Search.Stats.ShardEvals,
-		}
-	}
-	if sum.Drift != nil {
-		dr := driftJSON(*sum.Drift)
-		out.Drift = &dr
-	}
-	if sum.Replica != nil {
-		out.Replica = &replicaStatusJSON{
-			Source:        sum.Replica.Source,
-			Version:       sum.Replica.Version,
-			LeaderVersion: sum.Replica.LeaderVersion,
-			Lag:           sum.Replica.Lag,
-			Reconnects:    sum.Replica.Reconnects,
-			Rebootstraps:  sum.Replica.Rebootstraps,
-			Promoted:      sum.Replica.Promoted,
-		}
-	}
-	return out
-}
-
 type sitesResponse struct {
-	Sites []siteSummaryJSON `json:"sites"`
+	Sites []iupdater.SiteSummary `json:"sites"`
 }
 
 func (s *server) handleSites(w http.ResponseWriter, r *http.Request) {
-	sums := s.fleet.Summaries()
-	resp := sitesResponse{Sites: make([]siteSummaryJSON, len(sums))}
-	for i, sum := range sums {
-		resp.Sites[i] = siteSummaryResponse(sum)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, sitesResponse{Sites: s.fleet.Summaries()})
 }
 
 func (s *server) handleSite(w http.ResponseWriter, r *http.Request) {
@@ -832,7 +668,7 @@ func (s *server) handleSite(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, fmt.Errorf("unknown site %q (GET /sites lists them)", r.PathValue("site")))
 		return
 	}
-	writeJSON(w, http.StatusOK, siteSummaryResponse(fs.Summary()))
+	writeJSON(w, http.StatusOK, fs.Summary())
 }
 
 // sitePutRequest creates one site over the API. All fields are
@@ -855,7 +691,7 @@ type sitePutRequest struct {
 // manifest so a serve restart re-creates it.
 func (s *server) handleSitePut(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("site")
-	if err := checkSiteName(name); err != nil {
+	if err := iupdater.CheckSiteName(name); err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
@@ -864,8 +700,7 @@ func (s *server) handleSitePut(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req sitePutRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil && err != io.EOF {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !decodeBody(w, r, &req, true) {
 		return
 	}
 	if req.Env == "" {
@@ -874,18 +709,10 @@ func (s *server) handleSitePut(w http.ResponseWriter, r *http.Request) {
 	if req.Seed == 0 {
 		req.Seed = 1
 	}
-	opts := []iupdater.Option{
-		iupdater.WithWorkers(s.workers), iupdater.WithUpdateConcurrency(s.updateConc),
-		iupdater.WithTracer(s.tracer, name),
-	}
-	cfg, warm, err := buildSite(siteSpec{name: name, env: req.Env}, req.Seed, s.dataDir, s.retain, opts)
+	cfg, warm, err := s.makeSite(siteSpec{name: name, env: req.Env}, req.Seed, req.Token, req.Monitor || s.monitorOn)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
-	}
-	payload(cfg.Payload).token = req.Token
-	if req.Monitor || s.monitorOn {
-		cfg = withMonitor(cfg)
 	}
 	if err := s.addSite(name, cfg); err != nil {
 		status := http.StatusInternalServerError // the monitor failed to build
@@ -899,7 +726,7 @@ func (s *server) handleSitePut(w http.ResponseWriter, r *http.Request) {
 	s.manifestAdd(manifestEntry{Name: name, Env: req.Env, Seed: req.Seed, Token: req.Token, Monitor: req.Monitor || s.monitorOn})
 	log.Printf("site %s: created via API (%s, seed %d, warm=%v)", name, req.Env, req.Seed, warm)
 	fs, _ := s.fleet.Site(name)
-	writeJSON(w, http.StatusCreated, siteSummaryResponse(fs.Summary()))
+	writeJSON(w, http.StatusCreated, fs.Summary())
 }
 
 // handleSiteDelete removes a site at runtime: DELETE /sites/{site}.
@@ -996,18 +823,10 @@ func (s *server) restoreManifestSites() error {
 			s.manifestRemove(e.Name)
 			continue
 		}
-		opts := []iupdater.Option{
-			iupdater.WithWorkers(s.workers), iupdater.WithUpdateConcurrency(s.updateConc),
-			iupdater.WithTracer(s.tracer, e.Name),
-		}
-		cfg, warm, err := buildSite(siteSpec{name: e.Name, env: e.Env}, e.Seed, s.dataDir, s.retain, opts)
+		cfg, warm, err := s.makeSite(siteSpec{name: e.Name, env: e.Env}, e.Seed, e.Token, e.Monitor)
 		if err != nil {
 			log.Printf("site %s: manifest restore failed (entry kept): %v", e.Name, err)
 			continue
-		}
-		payload(cfg.Payload).token = e.Token
-		if e.Monitor {
-			cfg = withMonitor(cfg)
 		}
 		if err := s.addSite(e.Name, cfg); err != nil {
 			return err
@@ -1035,276 +854,240 @@ func (s *server) manifestRemove(name string) {
 	}
 }
 
+// metricFamily is one family of the /metrics exposition: its name,
+// type and help, and the one function that writes its samples. A
+// per-site family sets site, which writes one site's samples from its
+// summary (lbl is the site label); a fleet or process family sets
+// fleet, which writes the fleet-wide samples.
+type metricFamily struct {
+	name, typ, help string
+	site            func(mw *obs.Writer, name string, sum *iupdater.SiteSummary, lbl obs.Label)
+	fleet           func(mw *obs.Writer, name string, s *server)
+}
+
+// perSite is a per-site family with at most one sample per site: value
+// returns it and whether the site has one.
+func perSite(name, typ, help string, value func(*iupdater.SiteSummary) (float64, bool)) metricFamily {
+	return metricFamily{name: name, typ: typ, help: help,
+		site: func(mw *obs.Writer, name string, sum *iupdater.SiteSummary, lbl obs.Label) {
+			if v, ok := value(sum); ok {
+				mw.Sample(name, v, lbl)
+			}
+		}}
+}
+
+// perDrift is a per-site family read from a monitored site's drift
+// counters.
+func perDrift(name, typ, help string, value func(*iupdater.MonitorStats) float64) metricFamily {
+	return perSite(name, typ, help, func(sum *iupdater.SiteSummary) (float64, bool) {
+		if sum.Drift == nil {
+			return 0, false
+		}
+		return value(sum.Drift), true
+	})
+}
+
+// perReplica is a per-site family read from a replica's status.
+func perReplica(name, typ, help string, value func(*iupdater.ReplicaStatus) uint64) metricFamily {
+	return perSite(name, typ, help, func(sum *iupdater.SiteSummary) (float64, bool) {
+		if sum.Replica == nil {
+			return 0, false
+		}
+		return float64(value(sum.Replica)), true
+	})
+}
+
+// perSearch is a candidate-search counter, labeled with the serving
+// snapshot's tier.
+func perSearch(name, help string, value func(iupdater.SearchStats) uint64) metricFamily {
+	return metricFamily{name: name, typ: "counter", help: help,
+		site: func(mw *obs.Writer, name string, sum *iupdater.SiteSummary, lbl obs.Label) {
+			if sum.Search != nil {
+				mw.Sample(name, float64(value(sum.Search.SearchStats)), lbl, obs.Label{Name: "tier", Value: sum.Search.Tier})
+			}
+		}}
+}
+
+// fleetValue is a fleet or process family with one unlabeled sample.
+func fleetValue(name, typ, help string, value func(*server) float64) metricFamily {
+	return metricFamily{name: name, typ: typ, help: help,
+		fleet: func(mw *obs.Writer, name string, s *server) { mw.Sample(name, value(s)) }}
+}
+
+// runtimeGauge reads one Go runtime value through runtime/metrics. A
+// metric the runtime no longer exports is omitted rather than reported
+// as zero.
+func runtimeGauge(name, help, metric string) metricFamily {
+	return metricFamily{name: name, typ: "gauge", help: help,
+		fleet: func(mw *obs.Writer, name string, _ *server) {
+			rs := []runtimemetrics.Sample{{Name: metric}}
+			runtimemetrics.Read(rs)
+			switch v := rs[0].Value; v.Kind() {
+			case runtimemetrics.KindUint64:
+				mw.Sample(name, float64(v.Uint64()))
+			case runtimemetrics.KindFloat64:
+				mw.Sample(name, v.Float64())
+			}
+		}}
+}
+
+// metricsTable is the /metrics exposition, family by family, in order.
+var metricsTable = []metricFamily{
+	{name: "iupdater_locate_latency_seconds", typ: "histogram", help: "End-to-end locate latency in seconds, snapshot load included.",
+		site: func(mw *obs.Writer, name string, sum *iupdater.SiteSummary, lbl obs.Label) {
+			if sum.LocateLatency != nil {
+				mw.Histogram(name, sum.LocateLatency.Snapshot(), lbl)
+			}
+		}},
+	perSite("iupdater_snapshot_version", "gauge", "Serving fingerprint snapshot version (0 for an unsynced replica).",
+		func(sum *iupdater.SiteSummary) (float64, bool) { return float64(sum.Version), true }),
+	// Update-pipeline stage latency (writer sites only), fed from the
+	// same measured durations the pipeline's trace spans record — the
+	// histogram and a captured trace cannot disagree.
+	{name: "iupdater_update_duration_seconds", typ: "histogram",
+		help: "Update pipeline stage latency in seconds, by stage (sample, reconstruct, persist, swap).",
+		site: func(mw *obs.Writer, name string, sum *iupdater.SiteSummary, lbl obs.Label) {
+			for _, stage := range iupdater.UpdateStages() {
+				if h := sum.UpdateLatency[stage]; h != nil {
+					mw.Histogram(name, h.Snapshot(), lbl, obs.Label{Name: "stage", Value: stage})
+				}
+			}
+		}},
+	perSite("iupdater_publish_total", "counter", "Snapshot publishes made visible to queries (updates, installs, rollbacks).",
+		func(sum *iupdater.SiteSummary) (float64, bool) { return float64(sum.Publishes), sum.Replica == nil }),
+	// The search counters reset on every publish: each snapshot version
+	// carries a fresh index (Prometheus handles counter resets natively).
+	perSearch("iupdater_search_queries_total", "Candidate searches answered by the serving snapshot.",
+		func(st iupdater.SearchStats) uint64 { return st.Queries }),
+	perSearch("iupdater_search_column_evals_total", "Full fingerprint-column distance evaluations by the serving snapshot.",
+		func(st iupdater.SearchStats) uint64 { return st.ColumnEvals }),
+	perSearch("iupdater_search_shard_evals_total", "Coarse shard-routing evaluations by the serving snapshot.",
+		func(st iupdater.SearchStats) uint64 { return st.ShardEvals }),
+	perDrift("iupdater_drift_residual_db", "gauge", "Latest per-query residual against the serving fingerprints (dB).",
+		func(st *iupdater.MonitorStats) float64 { return st.Residual }),
+	perDrift("iupdater_drift_score", "gauge", "Current drift-detector score.",
+		func(st *iupdater.MonitorStats) float64 { return st.Score }),
+	perDrift("iupdater_drift_cooldown_remaining", "gauge", "Queries left before the monitor may trigger another update.",
+		func(st *iupdater.MonitorStats) float64 { return float64(st.CooldownRemaining) }),
+	perDrift("iupdater_drift_queries_total", "counter", "Measurements observed by the drift monitor.",
+		func(st *iupdater.MonitorStats) float64 { return float64(st.Queries) }),
+	perDrift("iupdater_drift_detections_total", "counter", "Drift detections (post-hysteresis).",
+		func(st *iupdater.MonitorStats) float64 { return float64(st.Detections) }),
+	perDrift("iupdater_drift_updates_triggered_total", "counter", "Automatic updates the monitor started.",
+		func(st *iupdater.MonitorStats) float64 { return float64(st.UpdatesTriggered) }),
+	perDrift("iupdater_drift_updates_completed_total", "counter", "Automatic updates that published a new snapshot.",
+		func(st *iupdater.MonitorStats) float64 { return float64(st.UpdatesCompleted) }),
+	perDrift("iupdater_drift_update_errors_total", "counter", "Automatic updates that failed.",
+		func(st *iupdater.MonitorStats) float64 { return float64(st.UpdateErrors) }),
+	perDrift("iupdater_drift_detections_suppressed_total", "counter", "Detections suppressed by cooldown or an in-flight update.",
+		func(st *iupdater.MonitorStats) float64 { return float64(st.Suppressed) }),
+	{name: "iupdater_drift_link_error_db", typ: "gauge", help: "Per-link EWMA residual attribution for the top offending links (dB).",
+		site: func(mw *obs.Writer, name string, sum *iupdater.SiteSummary, lbl obs.Label) {
+			if sum.Drift == nil {
+				return
+			}
+			for _, ld := range sum.Drift.TopLinks {
+				mw.Sample(name, ld.ErrDB, lbl, obs.Label{Name: "link", Value: strconv.Itoa(ld.Link)})
+			}
+		}},
+	perSite("iupdater_store_bytes", "gauge", "On-disk bytes across the store's retained snapshot records.",
+		func(sum *iupdater.SiteSummary) (float64, bool) {
+			var total int64
+			for _, rec := range sum.StoredRecords {
+				total += rec.Bytes
+			}
+			return float64(total), sum.Durable
+		}),
+	{name: "iupdater_store_records", typ: "gauge", help: "Retained snapshot records by kind (full or delta).",
+		site: func(mw *obs.Writer, name string, sum *iupdater.SiteSummary, lbl obs.Label) {
+			if !sum.Durable {
+				return
+			}
+			byKind := make(map[string]int, 2)
+			for _, rec := range sum.StoredRecords {
+				byKind[rec.Kind]++
+			}
+			for _, kind := range []string{"full", "delta"} {
+				mw.Sample(name, float64(byKind[kind]), lbl, obs.Label{Name: "kind", Value: kind})
+			}
+		}},
+	perSite("iupdater_store_compactions_total", "counter", "Log rewrites that dropped history (manual and retention-driven).",
+		func(sum *iupdater.SiteSummary) (float64, bool) {
+			return float64(sum.Compactions), sum.Durable && sum.Replica == nil
+		}),
+	// Fleet lifecycle: registrations versus what the snapshot LRU keeps
+	// resident, and the cost of bringing parked sites back.
+	{name: "iupdater_sites", typ: "gauge", help: "Registered sites by residency state (resident in memory vs parked on store).",
+		fleet: func(mw *obs.Writer, name string, s *server) {
+			st := s.fleet.Stats()
+			mw.Sample(name, float64(st.Resident), obs.Label{Name: "state", Value: "resident"})
+			mw.Sample(name, float64(st.Sites-st.Resident), obs.Label{Name: "state", Value: "parked"})
+		}},
+	fleetValue("iupdater_site_evictions_total", "counter", "Sites parked by the resident-limit LRU (deployment released, store retained).",
+		func(s *server) float64 { return float64(s.fleet.Stats().Evictions) }),
+	fleetValue("iupdater_site_rehydrations_total", "counter", "Parked sites re-materialized from their stores on demand.",
+		func(s *server) float64 { return float64(s.fleet.Stats().Rehydrations) }),
+	{name: "iupdater_site_rehydration_seconds", typ: "histogram", help: "Latency of re-materializing a parked site from its store, in seconds.",
+		fleet: func(mw *obs.Writer, name string, s *server) {
+			mw.Histogram(name, s.fleet.RehydrationLatency().Snapshot())
+		}},
+	perReplica("iupdater_replica_applied_version", "gauge", "Newest snapshot version the follower has applied.",
+		func(st *iupdater.ReplicaStatus) uint64 { return st.Version }),
+	perReplica("iupdater_replica_leader_version", "gauge", "Newest snapshot version the leader has advertised.",
+		func(st *iupdater.ReplicaStatus) uint64 { return st.LeaderVersion }),
+	perReplica("iupdater_replica_lag_versions", "gauge", "Replication lag in snapshot versions.",
+		func(st *iupdater.ReplicaStatus) uint64 { return st.Lag }),
+	perReplica("iupdater_replica_reconnects_total", "counter", "Failed leader polls, each retried over a fresh connection.",
+		func(st *iupdater.ReplicaStatus) uint64 { return st.Reconnects }),
+	perReplica("iupdater_replica_rebootstraps_total", "counter", "Re-bootstraps from the leader's newest full record.",
+		func(st *iupdater.ReplicaStatus) uint64 { return st.Rebootstraps }),
+	fleetValue("iupdater_traces_started_total", "counter", "Request traces begun across all routes and pipelines (sampled or not).",
+		func(s *server) float64 { return float64(s.tracer.Stats().Started) }),
+	fleetValue("iupdater_traces_retained_total", "counter", "Traces retained in the recent ring (head-sampled, slow or forced).",
+		func(s *server) float64 { return float64(s.tracer.Stats().Retained) }),
+	fleetValue("iupdater_traces_slow_total", "counter", "Retained traces that met their path's slow threshold.",
+		func(s *server) float64 { return float64(s.tracer.Stats().Slow) }),
+	{name: "iupdater_build_info", typ: "gauge", help: "Build metadata of the serving binary; the value is always 1.",
+		fleet: func(mw *obs.Writer, name string, _ *server) {
+			mw.Sample(name, 1, obs.Label{Name: "version", Value: buildVersion()},
+				obs.Label{Name: "goversion", Value: runtime.Version()})
+		}},
+	runtimeGauge("iupdater_goroutines", "Live goroutines in the serving process.", "/sched/goroutines:goroutines"),
+	runtimeGauge("iupdater_heap_bytes", "Bytes of live heap objects.", "/memory/classes/heap/objects:bytes"),
+	// runtime/metrics only exposes GC pause distributions, so the exact
+	// total comes from MemStats (the historical Go-collector behavior on
+	// scrape).
+	fleetValue("iupdater_gc_pause_seconds_total", "counter", "Cumulative stop-the-world GC pause time in seconds.",
+		func(*server) float64 {
+			var ms runtime.MemStats
+			runtime.ReadMemStats(&ms)
+			return float64(ms.PauseTotalNs) / 1e9
+		}),
+}
+
 // handleMetrics serves the fleet-wide Prometheus text exposition
-// (format 0.0.4). Every family is written once — HELP and TYPE ahead of
-// the samples — with one sample (or bucket series) per site, labeled
-// site="<name>". Search counters add the serving tier, per-link drift
-// attribution adds the link index. Families a site has no data for
-// (drift on an unmonitored site, replication on a writer) simply have
-// no sample for that site.
+// (format 0.0.4) from metricsTable, writing each family whole — HELP,
+// TYPE, then its samples — before the next. Per-site samples come from
+// Fleet.Summaries and carry site="<name>". A summary carries the site's
+// meters even while the site is parked, so a scrape never rehydrates a
+// site and a parked site keeps its locate, update-stage, publish and
+// compaction series. Families a site has no data for (drift on an
+// unmonitored site, replication on a writer) simply have no sample for
+// that site.
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	sums := s.fleet.Summaries()
 	var buf bytes.Buffer
 	mw := obs.NewWriter(&buf)
-	site := func(name string) obs.Label { return obs.Label{Name: "site", Value: name} }
-	// peek views a site without rehydrating it: scrapes never defeat the
-	// LRU. A parked site has no deployment to sample, and a site removed
-	// since Summaries (removal racing the scrape) has nothing at all.
-	peek := func(name string) target {
-		if fs, ok := s.fleet.Site(name); ok {
-			t, _ := view(fs, false)
-			return t
-		}
-		return target{}
-	}
-
-	mw.Family("iupdater_locate_latency_seconds", "histogram", "End-to-end locate latency in seconds, snapshot load included.")
-	for _, sum := range sums {
-		if rd := peek(sum.Name).rd; rd != nil {
-			mw.Histogram("iupdater_locate_latency_seconds", rd.LocateLatency().Snapshot(), site(sum.Name))
-		}
-	}
-
-	mw.Family("iupdater_snapshot_version", "gauge", "Serving fingerprint snapshot version (0 for an unsynced replica).")
-	for _, sum := range sums {
-		mw.Sample("iupdater_snapshot_version", float64(sum.Version), site(sum.Name))
-	}
-
-	// Update-pipeline stage latency (writer sites only), fed from the
-	// same measured durations the pipeline's trace spans record — the
-	// histogram and a captured trace cannot disagree.
-	mw.Family("iupdater_update_duration_seconds", "histogram",
-		"Update pipeline stage latency in seconds, by stage (sample, reconstruct, persist, swap).")
-	for _, sum := range sums {
-		d := peek(sum.Name).d
-		if d == nil {
+	for _, f := range metricsTable {
+		mw.Family(f.name, f.typ, f.help)
+		if f.fleet != nil {
+			f.fleet(mw, f.name, s)
 			continue
 		}
-		for _, stage := range iupdater.UpdateStages() {
-			if h := d.UpdateStageLatency(stage); h != nil {
-				mw.Histogram("iupdater_update_duration_seconds", h.Snapshot(),
-					site(sum.Name), obs.Label{Name: "stage", Value: stage})
-			}
+		for i := range sums {
+			f.site(mw, f.name, &sums[i], obs.Label{Name: "site", Value: sums[i].Name})
 		}
 	}
-	mw.Family("iupdater_publish_total", "counter", "Snapshot publishes made visible to queries (updates, installs, rollbacks).")
-	for _, sum := range sums {
-		if d := peek(sum.Name).d; d != nil {
-			mw.Sample("iupdater_publish_total", float64(d.Publishes()), site(sum.Name))
-		}
-	}
-
-	// Candidate-search work, labeled with the serving snapshot's tier.
-	// The counters reset on every publish: each snapshot version carries
-	// a fresh index (Prometheus handles counter resets natively).
-	searchFamilies := []struct {
-		name, help string
-		value      func(iupdater.SearchStats) uint64
-	}{
-		{"iupdater_search_queries_total", "Candidate searches answered by the serving snapshot.",
-			func(st iupdater.SearchStats) uint64 { return st.Queries }},
-		{"iupdater_search_column_evals_total", "Full fingerprint-column distance evaluations by the serving snapshot.",
-			func(st iupdater.SearchStats) uint64 { return st.ColumnEvals }},
-		{"iupdater_search_shard_evals_total", "Coarse shard-routing evaluations by the serving snapshot.",
-			func(st iupdater.SearchStats) uint64 { return st.ShardEvals }},
-	}
-	for _, fam := range searchFamilies {
-		mw.Family(fam.name, "counter", fam.help)
-		for _, sum := range sums {
-			if sum.Search == nil {
-				continue
-			}
-			mw.Sample(fam.name, float64(fam.value(sum.Search.Stats)),
-				site(sum.Name), obs.Label{Name: "tier", Value: sum.Search.Tier})
-		}
-	}
-
-	driftGauges := []struct {
-		name, help string
-		value      func(*iupdater.MonitorStats) float64
-	}{
-		{"iupdater_drift_residual_db", "Latest per-query residual against the serving fingerprints (dB).",
-			func(st *iupdater.MonitorStats) float64 { return st.Residual }},
-		{"iupdater_drift_score", "Current drift-detector score.",
-			func(st *iupdater.MonitorStats) float64 { return st.Score }},
-		{"iupdater_drift_cooldown_remaining", "Queries left before the monitor may trigger another update.",
-			func(st *iupdater.MonitorStats) float64 { return float64(st.CooldownRemaining) }},
-	}
-	for _, fam := range driftGauges {
-		mw.Family(fam.name, "gauge", fam.help)
-		for _, sum := range sums {
-			if sum.Drift == nil {
-				continue
-			}
-			mw.Sample(fam.name, fam.value(sum.Drift), site(sum.Name))
-		}
-	}
-	driftCounters := []struct {
-		name, help string
-		value      func(*iupdater.MonitorStats) uint64
-	}{
-		{"iupdater_drift_queries_total", "Measurements observed by the drift monitor.",
-			func(st *iupdater.MonitorStats) uint64 { return st.Queries }},
-		{"iupdater_drift_detections_total", "Drift detections (post-hysteresis).",
-			func(st *iupdater.MonitorStats) uint64 { return st.Detections }},
-		{"iupdater_drift_updates_triggered_total", "Automatic updates the monitor started.",
-			func(st *iupdater.MonitorStats) uint64 { return st.UpdatesTriggered }},
-		{"iupdater_drift_updates_completed_total", "Automatic updates that published a new snapshot.",
-			func(st *iupdater.MonitorStats) uint64 { return st.UpdatesCompleted }},
-		{"iupdater_drift_update_errors_total", "Automatic updates that failed.",
-			func(st *iupdater.MonitorStats) uint64 { return st.UpdateErrors }},
-		{"iupdater_drift_detections_suppressed_total", "Detections suppressed by cooldown or an in-flight update.",
-			func(st *iupdater.MonitorStats) uint64 { return st.Suppressed }},
-	}
-	for _, fam := range driftCounters {
-		mw.Family(fam.name, "counter", fam.help)
-		for _, sum := range sums {
-			if sum.Drift == nil {
-				continue
-			}
-			mw.Sample(fam.name, float64(fam.value(sum.Drift)), site(sum.Name))
-		}
-	}
-
-	mw.Family("iupdater_drift_link_error_db", "gauge", "Per-link EWMA residual attribution for the top offending links (dB).")
-	for _, sum := range sums {
-		if sum.Drift == nil {
-			continue
-		}
-		for _, ld := range sum.Drift.TopLinks {
-			mw.Sample("iupdater_drift_link_error_db", ld.ErrDB,
-				site(sum.Name), obs.Label{Name: "link", Value: strconv.Itoa(ld.Link)})
-		}
-	}
-
-	mw.Family("iupdater_store_bytes", "gauge", "On-disk bytes across the store's retained snapshot records.")
-	for _, sum := range sums {
-		if !sum.Durable {
-			continue
-		}
-		var total int64
-		for _, rec := range sum.StoredRecords {
-			total += rec.Bytes
-		}
-		mw.Sample("iupdater_store_bytes", float64(total), site(sum.Name))
-	}
-	mw.Family("iupdater_store_records", "gauge", "Retained snapshot records by kind (full or delta).")
-	for _, sum := range sums {
-		if !sum.Durable {
-			continue
-		}
-		byKind := map[string]int{"full": 0, "delta": 0}
-		for _, rec := range sum.StoredRecords {
-			byKind[rec.Kind]++
-		}
-		for _, kind := range []string{"full", "delta"} {
-			mw.Sample("iupdater_store_records", float64(byKind[kind]),
-				site(sum.Name), obs.Label{Name: "kind", Value: kind})
-		}
-	}
-	mw.Family("iupdater_store_compactions_total", "counter", "Log rewrites that dropped history (manual and retention-driven).")
-	for _, sum := range sums {
-		if store := peek(sum.Name).store; store != nil {
-			mw.Sample("iupdater_store_compactions_total", float64(store.Compactions()), site(sum.Name))
-		}
-	}
-
-	// Fleet lifecycle: registrations versus what the snapshot LRU keeps
-	// resident, and the cost of bringing parked sites back.
-	fstats := s.fleet.Stats()
-	mw.Family("iupdater_sites", "gauge", "Registered sites by residency state (resident in memory vs parked on store).")
-	mw.Sample("iupdater_sites", float64(fstats.Resident), obs.Label{Name: "state", Value: "resident"})
-	mw.Sample("iupdater_sites", float64(fstats.Sites-fstats.Resident), obs.Label{Name: "state", Value: "parked"})
-	mw.Family("iupdater_site_evictions_total", "counter", "Sites parked by the resident-limit LRU (deployment released, store retained).")
-	mw.Sample("iupdater_site_evictions_total", float64(fstats.Evictions))
-	mw.Family("iupdater_site_rehydrations_total", "counter", "Parked sites re-materialized from their stores on demand.")
-	mw.Sample("iupdater_site_rehydrations_total", float64(fstats.Rehydrations))
-	mw.Family("iupdater_site_rehydration_seconds", "histogram", "Latency of re-materializing a parked site from its store, in seconds.")
-	mw.Histogram("iupdater_site_rehydration_seconds", s.fleet.RehydrationLatency().Snapshot())
-
-	replicaGauges := []struct {
-		name, help string
-		value      func(*iupdater.ReplicaStatus) float64
-	}{
-		{"iupdater_replica_applied_version", "Newest snapshot version the follower has applied.",
-			func(st *iupdater.ReplicaStatus) float64 { return float64(st.Version) }},
-		{"iupdater_replica_leader_version", "Newest snapshot version the leader has advertised.",
-			func(st *iupdater.ReplicaStatus) float64 { return float64(st.LeaderVersion) }},
-		{"iupdater_replica_lag_versions", "Replication lag in snapshot versions.",
-			func(st *iupdater.ReplicaStatus) float64 { return float64(st.Lag) }},
-	}
-	for _, fam := range replicaGauges {
-		mw.Family(fam.name, "gauge", fam.help)
-		for _, sum := range sums {
-			if sum.Replica == nil {
-				continue
-			}
-			mw.Sample(fam.name, fam.value(sum.Replica), site(sum.Name))
-		}
-	}
-	replicaCounters := []struct {
-		name, help string
-		value      func(*iupdater.ReplicaStatus) uint64
-	}{
-		{"iupdater_replica_reconnects_total", "Failed leader polls, each retried over a fresh connection.",
-			func(st *iupdater.ReplicaStatus) uint64 { return st.Reconnects }},
-		{"iupdater_replica_rebootstraps_total", "Re-bootstraps from the leader's newest full record.",
-			func(st *iupdater.ReplicaStatus) uint64 { return st.Rebootstraps }},
-	}
-	for _, fam := range replicaCounters {
-		mw.Family(fam.name, "counter", fam.help)
-		for _, sum := range sums {
-			if sum.Replica == nil {
-				continue
-			}
-			mw.Sample(fam.name, float64(fam.value(sum.Replica)), site(sum.Name))
-		}
-	}
-
-	mw.Family("iupdater_traces_started_total", "counter", "Request traces begun across all routes and pipelines (sampled or not).")
-	mw.Family("iupdater_traces_retained_total", "counter", "Traces retained in the recent ring (head-sampled, slow or forced).")
-	mw.Family("iupdater_traces_slow_total", "counter", "Retained traces that met their path's slow threshold.")
-	ts := s.tracer.Stats()
-	mw.Sample("iupdater_traces_started_total", float64(ts.Started))
-	mw.Sample("iupdater_traces_retained_total", float64(ts.Retained))
-	mw.Sample("iupdater_traces_slow_total", float64(ts.Slow))
-
-	mw.Family("iupdater_build_info", "gauge", "Build metadata of the serving binary; the value is always 1.")
-	mw.Sample("iupdater_build_info", 1,
-		obs.Label{Name: "version", Value: buildVersion()},
-		obs.Label{Name: "goversion", Value: runtime.Version()})
-
-	// Go runtime health, read through runtime/metrics (names are
-	// version-checked: a metric the runtime no longer exports is simply
-	// omitted rather than reported as zero).
-	runtimeGauges := []struct {
-		name, help, metric string
-	}{
-		{"iupdater_goroutines", "Live goroutines in the serving process.", "/sched/goroutines:goroutines"},
-		{"iupdater_heap_bytes", "Bytes of live heap objects.", "/memory/classes/heap/objects:bytes"},
-	}
-	rsamples := make([]runtimemetrics.Sample, len(runtimeGauges))
-	for i, g := range runtimeGauges {
-		rsamples[i].Name = g.metric
-	}
-	runtimemetrics.Read(rsamples)
-	for i, g := range runtimeGauges {
-		mw.Family(g.name, "gauge", g.help)
-		switch rsamples[i].Value.Kind() {
-		case runtimemetrics.KindUint64:
-			mw.Sample(g.name, float64(rsamples[i].Value.Uint64()))
-		case runtimemetrics.KindFloat64:
-			mw.Sample(g.name, rsamples[i].Value.Float64())
-		}
-	}
-	// Cumulative stop-the-world GC pause time; runtime/metrics only
-	// exposes pause distributions, so the exact total comes from
-	// MemStats (the historical Go-collector behavior on scrape).
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	mw.Family("iupdater_gc_pause_seconds_total", "counter", "Cumulative stop-the-world GC pause time in seconds.")
-	mw.Sample("iupdater_gc_pause_seconds_total", float64(ms.PauseTotalNs)/1e9)
-
 	if err := mw.Err(); err != nil {
 		writeError(w, http.StatusInternalServerError, fmt.Errorf("rendering metrics: %w", err))
 		return
@@ -1314,6 +1097,31 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		log.Printf("iupdater: writing metrics response: %v", err)
 	}
+}
+
+// maxBodyBytes bounds the request body of every route that reads one
+// (/locate, /update, PUT /sites/{name}). The largest legitimate bodies
+// are about 40 KB: a raw hall /update and a 256-measurement locate
+// batch. Past the bound a request answers 413 instead of making the
+// server buffer whatever a client sends.
+const maxBodyBytes = 8 << 20
+
+// decodeBody decodes the JSON request body into v, reading at most
+// maxBodyBytes. On failure it writes the error — 413 past the bound,
+// 400 for anything else — and reports false. With emptyOK an empty body
+// leaves v as it is.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any, emptyOK bool) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil || (emptyOK && err == io.EOF) {
+		return true
+	}
+	status := http.StatusBadRequest
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		status = http.StatusRequestEntityTooLarge
+	}
+	writeError(w, status, fmt.Errorf("decoding request: %w", err))
+	return false
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -1353,7 +1161,7 @@ func parseSiteSpecs(spec, defaultEnv string) ([]siteSpec, error) {
 			// A bare name serves the default environment.
 			env = defaultEnv
 		}
-		if err := checkSiteName(name); err != nil {
+		if err := iupdater.CheckSiteName(name); err != nil {
 			return nil, fmt.Errorf("-sites: %w", err)
 		}
 		if seen[name] {
@@ -1363,21 +1171,6 @@ func parseSiteSpecs(spec, defaultEnv string) ([]siteSpec, error) {
 		out = append(out, siteSpec{name: name, env: env})
 	}
 	return out, nil
-}
-
-// checkSiteName mirrors Fleet.Add's naming rule: site names become URL
-// path segments and store directory names, so only letters, digits, -
-// and _ are allowed.
-func checkSiteName(name string) error {
-	if name == "" {
-		return fmt.Errorf("empty site name")
-	}
-	for _, r := range name {
-		if (r < 'a' || r > 'z') && (r < 'A' || r > 'Z') && (r < '0' || r > '9') && r != '-' && r != '_' {
-			return fmt.Errorf("site name %q: use letters, digits, - and _", name)
-		}
-	}
-	return nil
 }
 
 // followSpec is one -follow entry: a registry name and the leader
@@ -1399,7 +1192,7 @@ func parseFollowSpecs(spec string, taken map[string]bool) ([]followSpec, error) 
 		if !found || url == "" {
 			return nil, fmt.Errorf("-follow: %q: want name=records-url (e.g. branch=http://leader:8080/records)", part)
 		}
-		if err := checkSiteName(name); err != nil {
+		if err := iupdater.CheckSiteName(name); err != nil {
 			return nil, fmt.Errorf("-follow: %w", err)
 		}
 		if taken[name] {
@@ -1454,6 +1247,27 @@ func buildSite(spec siteSpec, seed uint64, dataDir string, retain int, opts []iu
 		return none, false, fmt.Errorf("site %s: %w", spec.name, err)
 	}
 	return iupdater.SiteConfig{Deployment: d, Payload: &site{tb: tb}}, false, nil
+}
+
+// makeSite builds one writer site the way every serve site is built:
+// with the server's batch workers, update concurrency, tracer, data
+// directory and retention, the given bearer token (empty for open
+// access), and a drift monitor when monitor is set. The caller
+// registers it with addSite.
+func (s *server) makeSite(spec siteSpec, seed uint64, token string, monitor bool) (iupdater.SiteConfig, bool, error) {
+	opts := []iupdater.Option{
+		iupdater.WithWorkers(s.workers), iupdater.WithUpdateConcurrency(s.updateConc),
+		iupdater.WithTracer(s.tracer, spec.name),
+	}
+	cfg, warm, err := buildSite(spec, seed, s.dataDir, s.retain, opts)
+	if err != nil {
+		return cfg, false, err
+	}
+	payload(cfg.Payload).token = token
+	if monitor {
+		cfg = withMonitor(cfg)
+	}
+	return cfg, warm, nil
 }
 
 func runServe(args []string) error {
@@ -1524,12 +1338,8 @@ func runServe(args []string) error {
 		s.fleet.Close()
 	}()
 	for i, spec := range specs {
-		opts := []iupdater.Option{
-			iupdater.WithWorkers(*workers), iupdater.WithUpdateConcurrency(*updateConc),
-			iupdater.WithTracer(s.tracer, spec.name),
-		}
 		log.Printf("site %s: preparing %s (seed %d)...", spec.name, spec.env, *seed+uint64(i))
-		cfg, warm, err := buildSite(spec, *seed+uint64(i), *dataDir, *retain, opts)
+		cfg, warm, err := s.makeSite(spec, *seed+uint64(i), "", *monitorOn)
 		if err != nil {
 			return err
 		}
@@ -1540,9 +1350,6 @@ func runServe(args []string) error {
 		} else {
 			log.Printf("site %s: surveyed: %d links, %d cells%s",
 				spec.name, d.Geometry().Links, d.Geometry().NumCells(), durabilityNote(d))
-		}
-		if *monitorOn {
-			cfg = withMonitor(cfg)
 		}
 		updates, cancelUpdates := d.Updates()
 		cancels = append(cancels, cancelUpdates)

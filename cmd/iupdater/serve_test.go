@@ -337,7 +337,7 @@ func TestServeFleetRoutes(t *testing.T) {
 	if up.Version != 2 {
 		t.Fatalf("annex update -> v%d", up.Version)
 	}
-	var annex, hq siteSummaryJSON
+	var annex, hq iupdater.SiteSummary
 	if code := getJSON(t, ts.URL+"/sites/annex", &annex); code != http.StatusOK {
 		t.Fatalf("/sites/annex status %d", code)
 	}
@@ -352,12 +352,12 @@ func TestServeFleetRoutes(t *testing.T) {
 	}
 
 	// Per-site drift endpoints are live and independent.
-	var dr driftResponse
+	var dr iupdater.MonitorStats
 	if code := getJSON(t, ts.URL+"/sites/hq/drift", &dr); code != http.StatusOK {
 		t.Fatalf("/sites/hq/drift status %d", code)
 	}
-	if dr.Version != 1 {
-		t.Errorf("hq drift tracks v%d, want 1", dr.Version)
+	if dr.SnapshotVersion != 1 {
+		t.Errorf("hq drift tracks v%d, want 1", dr.SnapshotVersion)
 	}
 
 	// Snapshot before rollback, then roll the annex back to v1 and
@@ -512,14 +512,14 @@ func TestServeDriftEndpointAndMonitorFeed(t *testing.T) {
 		t.Fatalf("batch locate status %d", code)
 	}
 
-	var dr driftResponse
+	var dr iupdater.MonitorStats
 	if code := getJSON(t, on.URL+"/drift", &dr); code != http.StatusOK {
 		t.Fatalf("/drift status %d", code)
 	}
 	if dr.Queries != 3 {
 		t.Errorf("monitor observed %d queries, want 3 (1 single + 2 batch)", dr.Queries)
 	}
-	if dr.Version != 1 || dr.Detections != 0 {
+	if dr.SnapshotVersion != 1 || dr.Detections != 0 {
 		t.Errorf("unexpected drift stats %+v", dr)
 	}
 	if dr.Residual <= 0 {
@@ -674,7 +674,7 @@ func TestServeRollbackCompactedVersionIsClientError(t *testing.T) {
 			t.Fatalf("update(%dd) status %d", days, code)
 		}
 	}
-	var sum siteSummaryJSON
+	var sum iupdater.SiteSummary
 	if code := getJSON(t, ts.URL+"/sites/default", &sum); code != http.StatusOK {
 		t.Fatalf("summary status %d", code)
 	}
@@ -726,7 +726,7 @@ func TestServeSnapshotAndSummaryExposeRecords(t *testing.T) {
 	if code := postJSON(t, ts.URL+"/update", updateRequest{Days: 15}, nil); code != http.StatusOK {
 		t.Fatalf("update status %d", code)
 	}
-	var sum siteSummaryJSON
+	var sum iupdater.SiteSummary
 	if code := getJSON(t, ts.URL+"/sites/default", &sum); code != http.StatusOK {
 		t.Fatalf("summary status %d", code)
 	}
@@ -787,11 +787,55 @@ func TestServeLocateRejectsImplausibleReading(t *testing.T) {
 			t.Fatalf("%s: status %d %s, want 422 naming the plausible range", body, resp.StatusCode, msg)
 		}
 	}
-	var dr driftResponse
+	var dr iupdater.MonitorStats
 	if code := getJSON(t, srv.URL+"/drift", &dr); code != http.StatusOK {
 		t.Fatalf("/drift status %d", code)
 	}
 	if dr.Queries != 0 {
 		t.Fatalf("monitor observed %d queries, want 0: rejected readings must not reach it", dr.Queries)
+	}
+}
+
+// TestServeBodyLimit: a valid body behind padding that takes it past
+// maxBodyBytes answers 413 in the JSON error shape on every route that
+// reads a body, and changes nothing: the version, the simulated clock
+// and the site list stay as they were.
+func TestServeBodyLimit(t *testing.T) {
+	cfg := newOfficeSite(t, 1)
+	s := newServer(0)
+	if err := s.addSite("default", cfg); err != nil {
+		t.Fatal(err)
+	}
+	defer s.fleet.Close()
+	h := s.handler()
+	cx, cy := testbedOf(cfg).CellCenter(42)
+	locate, err := json.Marshal(locateRequest{RSS: testbedOf(cfg).MeasureOnline(cx, cy, time.Hour)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pad := strings.Repeat(" ", maxBodyBytes)
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodPost, "/locate", string(locate)},
+		{http.MethodPost, "/update", `{"days": 5}`},
+		{http.MethodPut, "/sites/extra", `{"env": "office"}`},
+	} {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.path, strings.NewReader(pad+tc.body)))
+		var body map[string]string
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || body["error"] == "" {
+			t.Errorf("%s %s: body %q, want a JSON error", tc.method, tc.path, rec.Body.Bytes())
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s %s: status %d, want 413", tc.method, tc.path, rec.Code)
+		}
+	}
+	if v := cfg.Deployment.Version(); v != 1 {
+		t.Errorf("version %d after oversized requests, want 1", v)
+	}
+	if clock := payload(cfg.Payload).clock; clock != 0 {
+		t.Errorf("simulated clock %v after oversized requests, want 0", clock)
+	}
+	if names := s.fleet.Names(); len(names) != 1 || names[0] != "default" {
+		t.Errorf("sites %v after oversized requests, want [default]", names)
 	}
 }

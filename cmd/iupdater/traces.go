@@ -162,10 +162,6 @@ func summaries(tds []*trace.TraceData) []traceSummaryJSON {
 }
 
 func (s *server) handleTraces(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("tracing disabled"))
-		return
-	}
 	stats := s.tracer.Stats()
 	writeJSON(w, http.StatusOK, tracesResponse{
 		Recent:       summaries(s.tracer.Recent()),
@@ -208,10 +204,6 @@ func attrValue(a trace.Attr) any {
 }
 
 func (s *server) handleTrace(w http.ResponseWriter, r *http.Request) {
-	if s.tracer == nil {
-		writeError(w, http.StatusNotFound, fmt.Errorf("tracing disabled"))
-		return
-	}
 	id, ok := trace.ParseID(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("trace ID %q: want 32 hex digits", r.PathValue("id")))

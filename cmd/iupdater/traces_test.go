@@ -218,7 +218,7 @@ func TestServeAutoUpdateTraceUnderHammer(t *testing.T) {
 			}
 		}(g)
 	}
-	var drift driftResponse
+	var drift iupdater.MonitorStats
 	deadline := time.Now().Add(30 * time.Second)
 	for drift.UpdatesCompleted == 0 && time.Now().Before(deadline) {
 		getJSON(t, ts.URL+"/drift", &drift)
@@ -229,12 +229,12 @@ func TestServeAutoUpdateTraceUnderHammer(t *testing.T) {
 	if drift.UpdatesCompleted == 0 {
 		t.Fatalf("no auto-update completed: %+v", drift)
 	}
-	if drift.LastUpdateTrace == "" {
+	if drift.LastUpdateTraceID == "" {
 		t.Fatal("drift stats carry no auto-update trace ID")
 	}
 	var tr traceResponse
-	if code := getJSON(t, ts.URL+"/traces/"+drift.LastUpdateTrace, &tr); code != http.StatusOK {
-		t.Fatalf("GET /traces/%s: status %d", drift.LastUpdateTrace, code)
+	if code := getJSON(t, ts.URL+"/traces/"+drift.LastUpdateTraceID, &tr); code != http.StatusOK {
+		t.Fatalf("GET /traces/%s: status %d", drift.LastUpdateTraceID, code)
 	}
 	if !tr.Forced {
 		t.Error("auto-update trace not forced")

@@ -180,12 +180,12 @@ func newSnapshot(version uint64, fp Matrix, grid geom.Grid, search loc.IndexConf
 // column per search, the pruned tier fewer.
 type SearchStats struct {
 	// Queries is the number of candidate searches answered.
-	Queries uint64
+	Queries uint64 `json:"queries"`
 	// ColumnEvals is the number of full column evaluations performed.
-	ColumnEvals uint64
+	ColumnEvals uint64 `json:"column_evals"`
 	// ShardEvals is the number of coarse shard-routing evaluations
 	// performed.
-	ShardEvals uint64
+	ShardEvals uint64 `json:"shard_evals"`
 }
 
 // SearchStats returns the snapshot's cumulative locate-index counters.

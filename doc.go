@@ -190,14 +190,16 @@
 // without rehydrating them — a dashboard scrape never defeats the LRU.
 // A site's locate-latency, update-stage and publish counters belong to
 // the site, not to the materialized Deployment: every re-materialized
-// Deployment continues them, so parking never resets what they measured
-// (a /metrics scrape simply has no sample for a site while it is
-// parked). Parking writes nothing to disk: the monitor's counters,
-// calibrated floor and the floor's snapshot version stay in memory with
-// the site, and the monitor its next rehydration builds resumes from
-// them without reading the store, so a cold query only reads. Fleet
-// Close and RemoveSite write each parked site's monitor state to its
-// store once, and Close reports a failed write by site name.
+// Deployment continues them, so parking never resets what they
+// measured. SiteSummary carries them, with the store's compaction
+// count, for a parked site too, so a /metrics scrape keeps a parked
+// site's series without rehydrating it. Parking writes nothing to
+// disk: the monitor's counters, calibrated floor and the floor's
+// snapshot version stay in memory with the site, and the monitor its
+// next rehydration builds resumes from them without reading the store,
+// so a cold query only reads. Fleet Close and RemoveSite write each
+// parked site's monitor state to its store once, and Close reports a
+// failed write by site name.
 //
 // cmd/iupdater serve exposes the fleet over HTTP:
 //
@@ -292,8 +294,11 @@
 // lock-free and allocation-free (enforced by testing.AllocsPerRun), and
 // a writer for the Prometheus text exposition format 0.0.4 — no client
 // library, nothing on the query hot path but a few atomic adds.
-// cmd/iupdater serve aggregates every site into one GET /metrics; each
-// sample carries a site label, so one scrape covers the whole fleet:
+// cmd/iupdater serve aggregates every site into one GET /metrics,
+// rendered from one ordered table of families over Fleet.Summaries:
+// each family is written whole (HELP, TYPE, then its samples), and each
+// per-site sample carries a site label, so one scrape covers the whole
+// fleet without rehydrating a parked site:
 //
 //	iupdater_locate_latency_seconds        histogram {site}       end-to-end locate latency
 //	iupdater_snapshot_version              gauge     {site}       serving snapshot version
@@ -336,7 +341,9 @@
 // The search counters reset whenever a new snapshot version publishes
 // (each version carries a fresh index) — an ordinary Prometheus counter
 // reset. Families a site has no data for (drift on an unmonitored site,
-// replication on a writer) simply carry no sample for that site.
+// replication on a writer) simply carry no sample for that site. A
+// parked site keeps its locate, update-stage, publish and store series;
+// its search and drift families have no sample until it rehydrates.
 //
 // The monitor attributes its residual per link: Observe decomposes each
 // measurement's distance to the nearest fingerprint column into
@@ -460,7 +467,7 @@
 // iteration count — and a deployment can refresh continuously under
 // live localization traffic without GC pressure. The allocation budget
 // is regression-tested by the benchmark smoke step in CI
-// (scripts/bench.sh records the trajectory in BENCH_recon.json).
+// (scripts/bench.sh gates allocs/op against per-benchmark budgets).
 //
 // The ALS sweeps of the solver can additionally be sharded over a
 // bounded worker pool with WithUpdateConcurrency: the per-row/column

@@ -3,6 +3,7 @@ package iupdater
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -284,69 +285,45 @@ func (s *Site) shutdown() error {
 	return nil
 }
 
-// Summary returns the site's point-in-time serving state.
+// Summary returns the site's point-in-time serving state. It never
+// rehydrates a parked site: a parked site is reported from its store
+// and from the meters it keeps while parked.
 func (s *Site) Summary() SiteSummary {
+	sum := SiteSummary{Name: s.name, Hydrated: true}
 	if s.rep != nil {
 		status := s.rep.Status()
-		sum := SiteSummary{
-			Name:     s.name,
-			Version:  status.Version,
-			Hydrated: true,
-			Replica:  &status,
-		}
+		sum.Version, sum.Replica = status.Version, &status
 		// Geometry is learned from the first applied snapshot; before
 		// that the replica has no serving shape to report.
 		if g, ok := s.rep.geometry(); ok {
 			sum.Links, sum.Cells = g.Links, g.NumCells()
 		}
-		if snap := s.rep.Snapshot(); snap != nil {
-			sum.Search = &SearchSummary{Tier: snap.SearchTier(), Stats: snap.SearchStats()}
-		}
-		if st := s.rep.storeRef(); st != nil {
-			sum.Durable = true
-			sum.StoredVersions = st.Versions()
-			sum.StoredRecords = st.Records()
-			sum.OldestVersion = st.OldestVersion()
-		}
+		sum.setSearch(s.rep.Snapshot())
+		sum.setStore(s.rep.storeRef())
+		sum.LocateLatency = s.rep.LocateLatency()
 		return sum
+	}
+	sum.Links, sum.Cells = s.geo.Links, s.geo.NumCells()
+	sum.setStore(s.store)
+	sum.LocateLatency = s.meters.lat
+	sum.UpdateLatency = maps.Clone(s.meters.updLat)
+	sum.Publishes = s.meters.publishes.Value()
+	if s.store != nil {
+		sum.Compactions = s.store.Compactions()
 	}
 	l := s.live.Load()
 	if l == nil {
-		// Parked (or just removed): everything reportable lives in the
-		// store. The version index survives even a closed store, so a
+		// Parked (or just removed): the version is the latest stored
+		// one. The version index survives even a closed store, so a
 		// summary racing RemoveSite degrades to zeros, never panics.
-		sum := SiteSummary{
-			Name:  s.name,
-			Links: s.geo.Links,
-			Cells: s.geo.NumCells(),
-		}
+		sum.Hydrated = false
 		if s.store != nil {
-			sum.Durable = true
 			sum.Version = s.store.LatestVersion()
-			sum.StoredVersions = s.store.Versions()
-			sum.StoredRecords = s.store.Records()
-			sum.OldestVersion = s.store.OldestVersion()
 		}
 		return sum
 	}
-	snap := l.dep.Snapshot()
-	sum := SiteSummary{
-		Name:     s.name,
-		Version:  l.dep.Version(),
-		Links:    l.dep.Geometry().Links,
-		Cells:    l.dep.Geometry().NumCells(),
-		Hydrated: true,
-		Search:   &SearchSummary{Tier: snap.SearchTier(), Stats: snap.SearchStats()},
-	}
-	if st := l.dep.Store(); st != nil {
-		sum.Durable = true
-		// Versions and Records both return freshly allocated slices, so
-		// the summary never aliases store internals — callers may keep
-		// or mutate it freely.
-		sum.StoredVersions = st.Versions()
-		sum.StoredRecords = st.Records()
-		sum.OldestVersion = st.OldestVersion()
-	}
+	sum.Version = l.dep.Version()
+	sum.setSearch(l.dep.Snapshot())
 	if l.mon != nil {
 		stats := l.mon.Stats()
 		sum.Drift = &stats
@@ -354,49 +331,91 @@ func (s *Site) Summary() SiteSummary {
 	return sum
 }
 
+// setSearch reports snap's search tier and counters, if there is a
+// snapshot.
+func (sum *SiteSummary) setSearch(snap *Snapshot) {
+	if snap != nil {
+		sum.Search = &SearchSummary{Tier: snap.SearchTier(), SearchStats: snap.SearchStats()}
+	}
+}
+
+// setStore reports st's retained history, if there is a store. Versions
+// and Records both return freshly allocated slices, so the summary never
+// aliases store internals: callers may keep or mutate it freely.
+func (sum *SiteSummary) setStore(st *Store) {
+	if st != nil {
+		sum.Durable = true
+		sum.StoredVersions = st.Versions()
+		sum.StoredRecords = st.Records()
+		sum.OldestVersion = st.OldestVersion()
+	}
+}
+
 // SiteSummary is the per-site line of the fleet dashboard: identity,
-// serving version, durability and drift state.
+// serving version, durability, drift state and the site's meters. Its
+// JSON form is serve mode's GET /sites/{name} answer: the keys come out
+// in field order, and the meters, which only /metrics reads, are left
+// out.
 type SiteSummary struct {
 	// Name is the site's registry name.
-	Name string
+	Name string `json:"name"`
 	// Version is the latest published snapshot version (for a parked
 	// site, the latest stored version it would rehydrate to).
-	Version uint64
+	Version uint64 `json:"version"`
 	// Links and Cells describe the site's geometry.
-	Links, Cells int
+	Links int `json:"links"`
+	Cells int `json:"cells"`
+	// Durable reports whether a snapshot store is attached.
+	Durable bool `json:"durable"`
 	// Hydrated reports whether the site holds a materialized snapshot
 	// in RAM. Parked sites are false; their next query rehydrates them.
-	Hydrated bool
-	// Durable reports whether a snapshot store is attached.
-	Durable bool
+	Hydrated bool `json:"hydrated"`
+	// OldestVersion is the store's compaction horizon — the oldest
+	// retained version — 0 for in-memory sites: rollback and
+	// replication resume cannot reach below it.
+	OldestVersion uint64 `json:"oldest_version,omitempty"`
 	// StoredVersions lists the store's retained versions (ascending),
 	// nil for in-memory sites. These are the versions Rollback accepts.
-	StoredVersions []uint64
+	StoredVersions []uint64 `json:"stored_versions,omitempty"`
 	// StoredRecords describes each retained version's on-disk record
 	// (full snapshot or delta, and its byte footprint), nil for
 	// in-memory sites.
-	StoredRecords []RecordInfo
-	// OldestVersion is the store's compaction horizon — the oldest
-	// retained version — 0 for in-memory sites.
-	OldestVersion uint64
+	StoredRecords []RecordInfo `json:"stored_records,omitempty"`
 	// Search carries the serving snapshot's candidate-search tier and
 	// cumulative work counters, nil for a parked site or a replica that
 	// has not applied its first snapshot yet. The counters are per
 	// snapshot version: every publish starts a fresh index.
-	Search *SearchSummary
+	Search *SearchSummary `json:"search,omitempty"`
 	// Drift carries the monitor counters, nil for unmonitored or parked
 	// sites.
-	Drift *MonitorStats
+	Drift *MonitorStats `json:"drift,omitempty"`
 	// Replica carries the replication state (source, applied and leader
 	// versions, lag), nil for writer sites.
-	Replica *ReplicaStatus
+	Replica *ReplicaStatus `json:"replica,omitempty"`
+
+	// The meters are the site's cumulative instruments. A writer's
+	// belong to the site, not to its materialized Deployment, so a
+	// parked site reports them too.
+
+	// LocateLatency is the locate-latency histogram (seconds).
+	LocateLatency *obs.Histogram `json:"-"`
+	// UpdateLatency holds a writer's update-stage latency histograms by
+	// stage (see UpdateStages), nil on a replica.
+	UpdateLatency map[string]*obs.Histogram `json:"-"`
+	// Publishes counts a writer's published snapshots.
+	Publishes uint64 `json:"-"`
+	// Compactions counts the history-dropping rewrites of a durable
+	// writer's store.
+	Compactions uint64 `json:"-"`
 }
 
 // SearchSummary pairs the serving snapshot's candidate-search tier
-// ("pruned" or "exact") with its cumulative SearchStats.
+// ("pruned" or "exact") with its cumulative SearchStats, embedded so
+// that the JSON object is flat: tier, queries, column_evals,
+// shard_evals.
 type SearchSummary struct {
-	Tier  string
-	Stats SearchStats
+	Tier string `json:"tier"`
+	SearchStats
 }
 
 // FleetStats is the fleet-level lifecycle and LRU state.
@@ -466,7 +485,7 @@ func (f *Fleet) AddSite(name string, cfg SiteConfig) (*Site, error) {
 	if d == nil {
 		return nil, errors.New("iupdater: Fleet.AddSite: nil deployment")
 	}
-	if err := checkSiteName(name); err != nil {
+	if err := CheckSiteName(name); err != nil {
 		return nil, err
 	}
 	mon := cfg.Monitor
@@ -540,7 +559,7 @@ func (f *Fleet) AddReplica(name string, r *Replica) (*Site, error) {
 	if r == nil {
 		return nil, errors.New("iupdater: Fleet.AddReplica: nil replica")
 	}
-	if err := checkSiteName(name); err != nil {
+	if err := CheckSiteName(name); err != nil {
 		return nil, err
 	}
 	f.mu.Lock()
@@ -556,7 +575,12 @@ func (f *Fleet) AddReplica(name string, r *Replica) (*Site, error) {
 	return site, nil
 }
 
-func checkSiteName(name string) error {
+// CheckSiteName reports whether name may name a site: letters, digits,
+// - and _ only, and not empty. Site names become URL path segments in
+// serve mode and store directory names, so callers that derive a
+// directory from a name check it before creating anything; AddSite and
+// AddReplica check it again.
+func CheckSiteName(name string) error {
 	if name == "" {
 		return errors.New("iupdater: empty site name")
 	}

@@ -212,44 +212,45 @@ type LinkDrift struct {
 	ErrDB float64 `json:"err_db"`
 }
 
-// MonitorStats is a point-in-time snapshot of a Monitor's counters.
+// MonitorStats is a point-in-time snapshot of a Monitor's counters. Its
+// JSON form is what serve mode answers on GET /drift.
 type MonitorStats struct {
 	// Queries is the number of observations fed to the monitor.
-	Queries uint64
+	Queries uint64 `json:"queries"`
 	// Residual is the staleness residual (dB) of the last observation.
-	Residual float64
+	Residual float64 `json:"residual_db"`
 	// Score is the detector's current normalized drift statistic
 	// (>= 1 while the detector is flagging).
-	Score float64
+	Score float64 `json:"score"`
 	// Detections counts declared drift episodes (hysteresis satisfied).
-	Detections uint64
+	Detections uint64 `json:"detections"`
 	// UpdatesTriggered counts auto-updates started.
-	UpdatesTriggered uint64
+	UpdatesTriggered uint64 `json:"updates_triggered"`
 	// UpdatesCompleted counts auto-updates that published a snapshot.
-	UpdatesCompleted uint64
+	UpdatesCompleted uint64 `json:"updates_completed"`
 	// UpdateErrors counts auto-updates that failed (sampler or solver).
-	UpdateErrors uint64
+	UpdateErrors uint64 `json:"update_errors"`
 	// Suppressed counts detections not acted on because of the cooldown
 	// or a missing sampler.
-	Suppressed uint64
+	Suppressed uint64 `json:"suppressed"`
 	// CooldownRemaining is the number of queries left before another
 	// update may trigger.
-	CooldownRemaining int
+	CooldownRemaining int `json:"cooldown_remaining"`
 	// TopLinks are the worst-offending links by attributed drift error,
 	// descending (empty until the first observation after a snapshot
 	// change). See LinkDrift.
-	TopLinks []LinkDrift
+	TopLinks []LinkDrift `json:"top_links,omitempty"`
 	// UpdateInFlight reports an asynchronous update still running.
-	UpdateInFlight bool
+	UpdateInFlight bool `json:"update_in_flight"`
 	// SnapshotVersion is the deployment's latest published version.
-	SnapshotVersion uint64
+	SnapshotVersion uint64 `json:"version"`
 	// LastError is the message of the most recent update error, if any.
-	LastError string
+	LastError string `json:"last_error,omitempty"`
 	// LastUpdateTraceID is the trace ID of the most recent
 	// auto-triggered update, when the deployment has a tracer attached
 	// (auto-update traces are always retained — retrieve the full
 	// detect→sample→reconstruct→persist→swap span tree at /traces/{id}).
-	LastUpdateTraceID string
+	LastUpdateTraceID string `json:"last_update_trace,omitempty"`
 }
 
 // Monitor closes the paper's detect -> measure -> update loop around a

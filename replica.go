@@ -329,27 +329,28 @@ func (r *Replica) Lag() uint64 {
 }
 
 // ReplicaStatus is a point-in-time view of a replica's replication
-// state, surfaced in fleet summaries.
+// state, surfaced in fleet summaries (and as their JSON "replica"
+// object).
 type ReplicaStatus struct {
 	// Source is the leader records URL being followed.
-	Source string
+	Source string `json:"source"`
 	// Version is the latest snapshot version applied locally.
-	Version uint64
+	Version uint64 `json:"version"`
 	// LeaderVersion is the newest version the leader advertised, 0
 	// before the first successful poll.
-	LeaderVersion uint64
+	LeaderVersion uint64 `json:"leader_version"`
 	// Lag is max(LeaderVersion-Version, 0) — the replication lag in
 	// versions.
-	Lag uint64
+	Lag uint64 `json:"lag"`
 	// Reconnects counts failed leader polls (each retried over a fresh
 	// connection under backoff).
-	Reconnects uint64
+	Reconnects uint64 `json:"reconnects"`
 	// Rebootstraps counts re-bootstraps from the leader's newest full
 	// record (compaction gap or apply-failure streak).
-	Rebootstraps uint64
+	Rebootstraps uint64 `json:"rebootstraps"`
 	// Promoted reports that Promote has ended following; Version then
 	// tracks the promoted deployment.
-	Promoted bool
+	Promoted bool `json:"promoted,omitempty"`
 }
 
 // Status returns the replica's current replication state. After
